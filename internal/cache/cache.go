@@ -103,7 +103,7 @@ type Cache struct {
 	setPow2 bool
 
 	mshrCap int
-	mshr    map[memtypes.LineAddr]*MSHREntry
+	mshr    LineTable[MSHREntry]
 
 	writeAllocate bool // false: L1 policy (write-evict / no-allocate)
 
@@ -201,7 +201,7 @@ func New(sizeBytes, ways, mshrs int, writeAllocate bool) *Cache {
 		ways:          ways,
 		lines:         make([]line, sets*ways),
 		mshrCap:       mshrs,
-		mshr:          make(map[memtypes.LineAddr]*MSHREntry),
+		mshr:          NewLineTable[MSHREntry](mshrs),
 		writeAllocate: writeAllocate,
 	}
 	c.initGeometry()
@@ -247,17 +247,16 @@ func (c *Cache) Probe(l memtypes.LineAddr) bool {
 }
 
 // MSHRFree reports whether a new miss can currently be tracked.
-func (c *Cache) MSHRFree() bool { return len(c.mshr) < c.mshrCap }
+func (c *Cache) MSHRFree() bool { return c.mshr.Len() < c.mshrCap }
 
 // OutstandingFills returns the number of live MSHR entries.
-func (c *Cache) OutstandingFills() int { return len(c.mshr) }
+func (c *Cache) OutstandingFills() int { return c.mshr.Len() }
 
 // HasOutstanding reports whether the line has an MSHR entry in flight
 // (allocated fill or bypass fetch): an access to it merges rather than
 // needing a new MSHR.
 func (c *Cache) HasOutstanding(l memtypes.LineAddr) bool {
-	_, ok := c.mshr[l]
-	return ok
+	return c.mshr.Get(l) != nil
 }
 
 func (c *Cache) find(l memtypes.LineAddr) *line {
@@ -314,7 +313,7 @@ func (c *Cache) Load(l memtypes.LineAddr, hpc uint32, allocate bool) (Result, Ev
 		ln.hpc = hpc
 		if ln.pending {
 			c.Stats.LoadPendingHits++
-			if e := c.mshr[l]; e != nil {
+			if e := c.mshr.Get(l); e != nil {
 				e.Merged++
 			}
 			return HitPending, Eviction{}, false
@@ -323,7 +322,7 @@ func (c *Cache) Load(l memtypes.LineAddr, hpc uint32, allocate bool) (Result, Ev
 		return Hit, Eviction{}, false
 	}
 	// Miss path.
-	if e, ok := c.mshr[l]; ok {
+	if e := c.mshr.Get(l); e != nil {
 		// Same line already being fetched without an allocated way
 		// (bypass in flight): merge.
 		e.Merged++
@@ -338,13 +337,13 @@ func (c *Cache) Load(l memtypes.LineAddr, hpc uint32, allocate bool) (Result, Ev
 	c.Stats.LoadMisses++
 	if !allocate {
 		c.Stats.Bypasses++
-		c.mshr[l] = &MSHREntry{Line: l}
+		c.mshr.Put(l, MSHREntry{Line: l})
 		return MissNoAlloc, Eviction{}, false
 	}
 	if victim == nil {
 		// Every way reserved by in-flight fills: fetch without allocating.
 		c.Stats.Bypasses++
-		c.mshr[l] = &MSHREntry{Line: l}
+		c.mshr.Put(l, MSHREntry{Line: l})
 		return MissNoAlloc, Eviction{}, false
 	}
 	var ev Eviction
@@ -358,25 +357,24 @@ func (c *Cache) Load(l memtypes.LineAddr, hpc uint32, allocate bool) (Result, Ev
 		}
 	}
 	*victim = line{valid: true, pending: true, tag: l, hpc: hpc, lru: c.stamp}
-	c.mshr[l] = &MSHREntry{Line: l, Allocated: true}
+	c.mshr.Put(l, MSHREntry{Line: l, Allocated: true})
 	return Miss, ev, evicted
 }
 
-// Fill completes the outstanding fetch of a line. It returns the MSHR entry
-// (nil if none was outstanding, e.g. a store fill in a write-allocate cache
-// that was silently dropped).
-func (c *Cache) Fill(l memtypes.LineAddr) *MSHREntry {
-	e, ok := c.mshr[l]
+// Fill completes the outstanding fetch of a line. It returns the retired
+// MSHR entry; ok is false if none was outstanding (e.g. a store fill in a
+// write-allocate cache that was silently dropped).
+func (c *Cache) Fill(l memtypes.LineAddr) (e MSHREntry, ok bool) {
+	e, ok = c.mshr.Delete(l)
 	if !ok {
-		return nil
+		return e, false
 	}
-	delete(c.mshr, l)
 	if e.Allocated {
 		if ln := c.find(l); ln != nil && ln.pending {
 			ln.pending = false
 		}
 	}
-	return e
+	return e, true
 }
 
 // Store performs a store access. In a write-evict cache (writeAllocate ==
@@ -480,6 +478,6 @@ func (c *Cache) Resize(sizeBytes int) {
 	}
 	c.sets = sizeBytes / (memtypes.LineSize * c.ways)
 	c.lines = make([]line, c.sets*c.ways)
-	c.mshr = make(map[memtypes.LineAddr]*MSHREntry)
+	c.mshr.Reset()
 	c.initGeometry()
 }

@@ -47,7 +47,7 @@ func TestLoadMissFillHit(t *testing.T) {
 	mustLoad(t, c, l, Miss)
 	// Before fill, accesses merge.
 	mustLoad(t, c, l, HitPending)
-	if e := c.Fill(l); e == nil || e.Merged != 1 {
+	if e, ok := c.Fill(l); !ok || e.Merged != 1 {
 		t.Fatalf("Fill = %+v, want merged=1", e)
 	}
 	mustLoad(t, c, l, Hit)
@@ -145,8 +145,8 @@ func TestWriteEvictStoreOnPendingLine(t *testing.T) {
 	if c.OutstandingFills() != 1 {
 		t.Fatalf("outstanding fills = %d, want 1", c.OutstandingFills())
 	}
-	e := c.Fill(a)
-	if e == nil || !e.Allocated {
+	e, ok := c.Fill(a)
+	if !ok || !e.Allocated {
 		t.Fatalf("Fill = %+v, want allocated entry", e)
 	}
 	if !c.Probe(a) {

@@ -1,5 +1,7 @@
 package cache
 
+import "github.com/linebacker-sim/linebacker/internal/memtypes"
+
 // StateHash digests the cache's structural state — tag array, LRU stamps,
 // MSHR contents and the global access stamp — into one 64-bit fingerprint.
 // Every externally visible cache transition (hit, miss, fill, store,
@@ -44,11 +46,10 @@ func (c *Cache) StateHash() uint64 {
 		mix(uint64(ln.hpc))
 		mix(uint64(ln.lru))
 	}
-	// The MSHR map iterates in random order; fold entries with an
-	// order-independent sum of per-entry digests.
+	// The MSHR table's slot layout depends on insertion order; fold entries
+	// with an order-independent sum of per-entry digests.
 	var m uint64
-	//lbvet:ordered commutative sum of per-entry digests; order cannot leak
-	for l, e := range c.mshr {
+	c.mshr.ForEach(func(l memtypes.LineAddr, e *MSHREntry) {
 		eh := uint64(offset64)
 		for _, v := range [...]uint64{uint64(l), uint64(e.Merged), uint64(e.Line)} {
 			for i := 0; i < 8; i++ {
@@ -61,7 +62,7 @@ func (c *Cache) StateHash() uint64 {
 			eh *= prime64
 		}
 		m += eh
-	}
+	})
 	mix(m)
 	return h
 }

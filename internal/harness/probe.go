@@ -18,33 +18,23 @@ type ProbeResult struct {
 }
 
 // RunProbe executes the benchmark under the baseline policy with a per-load
-// probe attached to every SM and returns merged per-load statistics. A
-// non-nil error is always a *RunError.
+// probe attached to every SM and returns merged per-load statistics.
+// Same-bench calls are single-flight, memoised like RunCfg's. A non-nil
+// error is always a *RunError.
 func (r *Runner) RunProbe(ctx context.Context, bench string) (*ProbeResult, error) {
-	key := "probe|" + bench
-	r.mu.Lock()
-	if res, ok := r.probeCache[key]; ok {
-		r.mu.Unlock()
-		return res, nil
+	queueErr := func(cause error) error {
+		return &RunError{Bench: bench, Policy: "probe", Phase: PhaseQueue, Err: cause}
 	}
-	r.mu.Unlock()
-
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, &RunError{Bench: bench, Policy: "probe", Phase: PhaseQueue,
-			Err: context.Cause(ctx)}
-	}
-	res, err := r.executeProbe(ctx, bench)
-	<-r.sem
-	if err != nil {
-		return nil, err
-	}
-
-	r.mu.Lock()
-	r.probeCache[key] = res
-	r.mu.Unlock()
-	return res, nil
+	res, _, err := singleFlight(r, ctx, r.probeCache, "probe|"+bench, queueErr, func() (*ProbeResult, error) {
+		select {
+		case r.sem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, queueErr(context.Cause(ctx))
+		}
+		defer func() { <-r.sem }()
+		return r.executeProbe(ctx, bench)
+	})
+	return res, err
 }
 
 // MustRunProbe is RunProbe with a background context, panicking on failure.

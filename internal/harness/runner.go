@@ -83,8 +83,56 @@ type ResultStore interface {
 // executing (and journaling) the identical simulation a second time.
 type flight struct {
 	done chan struct{} // closed by the leader after res/err are set
-	res  *sim.Result
+	res  any           // the leader's result: *sim.Result or *ProbeResult
 	err  error
+}
+
+// singleFlight returns memo[key], or runs exec as the key's one leader, or
+// waits for the running leader and shares its result — the in-process
+// dedup behind RunCfg and RunProbe. Failures are never shared forward: a
+// waiter whose leader failed tries again, as a potential leader, under its
+// own context. A waiter whose context ends first returns queueErr(cause).
+// ran reports whether this caller executed.
+func singleFlight[T any](r *Runner, ctx context.Context, memo map[string]T, key string,
+	queueErr func(cause error) error, exec func() (T, error)) (res T, ran bool, err error) {
+	var f *flight
+	for {
+		r.mu.Lock()
+		if res, ok := memo[key]; ok {
+			r.mu.Unlock()
+			return res, false, nil
+		}
+		inFlight := false
+		if f, inFlight = r.flights[key]; !inFlight {
+			f = &flight{done: make(chan struct{})}
+			r.flights[key] = f
+			r.mu.Unlock()
+			break // this caller is the leader
+		}
+		r.mu.Unlock()
+		select {
+		case <-f.done:
+			if f.err == nil {
+				return f.res.(T), false, nil
+			}
+		case <-ctx.Done():
+			return res, false, queueErr(context.Cause(ctx))
+		}
+	}
+
+	res, err = exec()
+	// Publish atomically: memo insert and flight retirement happen under
+	// the same critical section, so no racing caller can observe the gap
+	// (missing memo entry, no flight) and start a duplicate execution.
+	r.mu.Lock()
+	if err == nil {
+		memo[key] = res
+	}
+	delete(r.flights, key)
+	r.mu.Unlock()
+	f.res, f.err = res, err
+	close(f.done)
+	return res, true, err
 }
 
 // NewRunner builds a runner over the given configuration. windows sets the
@@ -265,34 +313,29 @@ func (r *Runner) MustRun(bench string, pol sim.Policy) *sim.Result {
 // forward: a waiter whose leader failed retries with its own context.
 func (r *Runner) RunCfg(ctx context.Context, cfg config.Config, cfgKey, bench string, pol sim.Policy) (*sim.Result, error) {
 	key := fmt.Sprintf("%s|%s|%s|%s", cfgKey, cfgFingerprint(&cfg), bench, pol.Name())
-	var f *flight
-	for {
+	res, ran, err := singleFlight(r, ctx, r.cache, key, func(cause error) error {
+		return &RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey, Phase: PhaseQueue, Err: cause}
+	}, func() (*sim.Result, error) {
+		return r.lead(ctx, key, cfg, cfgKey, bench, pol)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if ran {
 		r.mu.Lock()
-		if res, ok := r.cache[key]; ok {
-			r.mu.Unlock()
-			return res, nil
-		}
-		inFlight := false
-		if f, inFlight = r.flights[key]; !inFlight {
-			f = &flight{done: make(chan struct{})}
-			r.flights[key] = f
-			r.mu.Unlock()
-			break // this caller is the leader
-		}
+		j := r.journal
 		r.mu.Unlock()
-		select {
-		case <-f.done:
-			if f.err == nil {
-				return f.res, nil
-			}
-			// The leader failed, so nothing was memoised; loop and try
-			// again as (potential) leader under this caller's context.
-		case <-ctx.Done():
-			return nil, &RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey,
-				Phase: PhaseQueue, Err: context.Cause(ctx)}
+		if j != nil {
+			j.Record(key, res)
 		}
 	}
+	return res, nil
+}
 
+// lead executes RunCfg's point as the key's in-process leader: it takes a
+// sweep-pool slot, then simulates — through the attached store's
+// cross-process single-flight when there is one.
+func (r *Runner) lead(ctx context.Context, key string, cfg config.Config, cfgKey, bench string, pol sim.Policy) (*sim.Result, error) {
 	var res *sim.Result
 	var err error
 	select {
@@ -323,25 +366,7 @@ func (r *Runner) RunCfg(ctx context.Context, cfg config.Config, cfgKey, bench st
 			err = &RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey,
 				Phase: PhaseQueue, Err: err}
 		}
-	}
-
-	// Publish atomically: cache insert and flight retirement happen under
-	// the same critical section, so no racing caller can observe the gap
-	// (missing cache entry, no flight) and start a duplicate execution.
-	r.mu.Lock()
-	if err == nil {
-		r.cache[key] = res
-	}
-	delete(r.flights, key)
-	j := r.journal
-	r.mu.Unlock()
-	f.res, f.err = res, err
-	close(f.done)
-	if err != nil {
 		return nil, err
-	}
-	if j != nil {
-		j.Record(key, res)
 	}
 	return res, nil
 }

@@ -73,3 +73,47 @@ func TestRunCfgSingleFlight(t *testing.T) {
 		t.Errorf("Executions() after memo hit = %d, want 1", got)
 	}
 }
+
+// TestRunProbeSingleFlight is the regression test for RunProbe's missing
+// dedup: it checked probeCache and then executed without joining the
+// in-flight table, so four concurrent RunProbe("S2") calls ran four
+// simulations. Routed through the same single-flight as RunCfg, the four
+// callers share one execution and one result.
+func TestRunProbeSingleFlight(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+
+	r := tinyRunner()
+	const callers = 4
+	results := make([]*ProbeResult, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			results[i], errs[i] = r.RunProbe(context.Background(), "S2")
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	for i := 0; i < callers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if results[i] == nil || results[i] != results[0] {
+			t.Errorf("caller %d got result %p, caller 0 got %p; want one shared result", i, results[i], results[0])
+		}
+	}
+	if got := r.Executions(); got != 1 {
+		t.Errorf("Executions() = %d, want 1 (concurrent same-bench probes must share one run)", got)
+	}
+	if _, err := r.RunProbe(context.Background(), "S2"); err != nil {
+		t.Fatalf("memo-hit probe: %v", err)
+	}
+	if got := r.Executions(); got != 1 {
+		t.Errorf("Executions() after memo hit = %d, want 1", got)
+	}
+}

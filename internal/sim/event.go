@@ -59,9 +59,11 @@ func mergeEvent(best int64, any bool, c int64, ok bool, now int64) (int64, bool)
 //     event, so a skip can never jump over the resolution cycle.
 //   - A warp that is alive, under its MLP limit, scheduler-eligible and
 //     ready now pins the event to now; one that becomes ready later
-//     contributes its readyAt. Warps blocked on memory (memPending at the
-//     MLP limit, or dead with requests in flight) wake through
-//     handleResponse, which is the response link's event, not the SM's.
+//     contributes its readyAt. Both are found by walking the schedulers'
+//     runnable sets (oldestReady). Warps blocked on memory (memPending at
+//     the MLP limit, or dead with requests in flight) are outside those
+//     sets; they wake through handleResponse, which is the response link's
+//     event, not the SM's.
 //   - Policy gates (CTAActive/WarpActive) are pure functions of policy
 //     state, and policy state only changes in hooks that run during ticked
 //     cycles — so a warp gated off now stays gated for the whole skipped
@@ -78,20 +80,13 @@ func (sm *SM) NextEvent(now int64) (int64, bool) {
 	if any && best <= now {
 		return now, true
 	}
-	mlp := sm.cfg.GPU.MaxWarpMLP
-	for i := range sm.warps {
-		w := &sm.warps[i]
-		if !w.Alive || w.memPending >= mlp {
-			continue
-		}
-		if w.readyAt > now {
-			if !any || w.readyAt < best {
-				best, any = w.readyAt, true
-			}
-			continue
-		}
-		if sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(i) {
+	for s := range sm.scheds {
+		w, future := sm.oldestReady(s, now)
+		if w >= 0 {
 			return now, true
+		}
+		if future != neverWake && (!any || future < best) {
+			best, any = future, true
 		}
 	}
 	return best, any

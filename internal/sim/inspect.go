@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
@@ -62,29 +63,27 @@ func (sm *SM) PendingStoreOps() int { return sm.lsu.Len() - sm.PendingLoadOps() 
 
 // WaiterLines returns the number of distinct lines with warps waiting on an
 // outstanding L1 fill — by construction equal to the L1's live MSHR count.
-func (sm *SM) WaiterLines() int { return len(sm.waiters) }
+func (sm *SM) WaiterLines() int { return sm.waiters.Len() }
 
 // WaiterEntries returns the total warp↦line wait registrations: one per
 // outstanding line request that has gone below the L1.
 func (sm *SM) WaiterEntries() int {
 	n := 0
-	for _, ws := range sm.waiters {
-		n += len(ws)
-	}
+	sm.waiters.ForEach(func(_ memtypes.LineAddr, ws *[]*Warp) { n += len(*ws) })
 	return n
 }
 
 // HasWaiter reports whether any warp waits on the line.
-func (sm *SM) HasWaiter(line memtypes.LineAddr) bool {
-	_, ok := sm.waiters[line]
-	return ok
-}
+func (sm *SM) HasWaiter(line memtypes.LineAddr) bool { return sm.waiters.Get(line) != nil }
 
 // ForEachWaitedLine visits every line some warp of this SM waits on, in
 // ascending line order so the visit sequence is deterministic.
 func (sm *SM) ForEachWaitedLine(fn func(line memtypes.LineAddr, waiters int)) {
-	for _, line := range stats.SortedKeys(sm.waiters) {
-		fn(line, len(sm.waiters[line]))
+	lines := make([]memtypes.LineAddr, 0, sm.waiters.Len())
+	sm.waiters.ForEach(func(l memtypes.LineAddr, _ *[]*Warp) { lines = append(lines, l) })
+	slices.Sort(lines)
+	for _, line := range lines {
+		fn(line, len(*sm.waiters.Get(line)))
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/linebacker-sim/linebacker/internal/cache"
 	"github.com/linebacker-sim/linebacker/internal/config"
@@ -23,6 +24,9 @@ type Warp struct {
 	readyAt    int64
 	memPending int  // outstanding line requests of the current load
 	retired    bool // warp fully done, including outstanding memory
+	// rank is the warp's position in its scheduler's age order, -1 when the
+	// warp is not in it (dead, or never launched). See gtoSched.
+	rank int
 }
 
 // ready reports whether the warp can issue at the cycle. A warp keeps
@@ -80,13 +84,22 @@ type SM struct {
 	freeSlots   int
 	warpsPerCTA int
 
-	// GTO scheduler state: the last warp each scheduler issued from.
+	// GTO scheduler state: the last warp each scheduler issued from, and
+	// each scheduler's age order and runnable set. ageSlots is scratch for
+	// rebuildOrder.
 	lastIssued []int
+	scheds     []gtoSched
+	ageSlots   []int
 
 	lsu      ring.Buffer[lsuOp]
 	lsuWidth int
-	waiters  map[memtypes.LineAddr][]*Warp
 	outbox   ring.Buffer[*memtypes.Request]
+
+	// waiters maps each line with an outstanding L1 fill to the warps
+	// waiting on it, one entry per L1 MSHR entry. Delivered lists go back
+	// to spareWaits, so a miss reuses an old list instead of allocating.
+	waiters    cache.LineTable[[]*Warp]
+	spareWaits [][]*Warp
 
 	// pool recycles this SM's Request objects. Per-SM ownership is what
 	// keeps the free list race-free under parallel stepping: during the SM
@@ -151,14 +164,24 @@ func newSM(id int, cfg *config.Config, k *workload.Kernel) *SM {
 		rf:          regfile.New(g),
 		warpsPerCTA: k.WarpsPerCTA,
 		lastIssued:  make([]int, g.NumSchedulers),
+		scheds:      make([]gtoSched, g.NumSchedulers),
 		lsuWidth:    lsuWidthDefault,
-		waiters:     make(map[memtypes.LineAddr][]*Warp),
+		waiters:     cache.NewLineTable[[]*Warp](g.L1MSHRs),
 	}
 	for i := range sm.lastIssued {
 		sm.lastIssued[i] = -1
 	}
 	sm.maxResidentCTAs = MaxResidentCTAs(g, k)
 	sm.warps = make([]Warp, sm.maxResidentCTAs*k.WarpsPerCTA)
+	for i := range sm.warps {
+		sm.warps[i].rank = -1
+	}
+	perSched := (len(sm.warps) + g.NumSchedulers - 1) / g.NumSchedulers
+	for s := range sm.scheds {
+		sm.scheds[s].order = make([]int, 0, perSched)
+		sm.scheds[s].runnable = make([]uint64, (perSched+63)/64)
+	}
+	sm.ageSlots = make([]int, 0, sm.maxResidentCTAs)
 	sm.ctas = make([]CTASlotInfo, sm.maxResidentCTAs)
 	sm.freeSlots = sm.maxResidentCTAs
 	return sm
@@ -309,6 +332,7 @@ func (sm *SM) launchCTA(seq int, cycle int64) bool {
 		*w = Warp{Alive: true, CTASlot: slot, Idx: i, Seq: seq}
 	}
 	sm.freeSlots--
+	sm.rebuildOrder()
 	sm.Stats.CTALaunches++
 	sm.pol.OnCTALaunch(slot, seq, cycle)
 	// External input: fresh warps mean fresh events (see event.go).
@@ -332,7 +356,7 @@ func (sm *SM) Busy() bool {
 			return true
 		}
 	}
-	return sm.lsu.Len() > 0 || len(sm.waiters) > 0
+	return sm.lsu.Len() > 0 || sm.waiters.Len() > 0
 }
 
 // --- per-cycle pipeline ---
@@ -379,44 +403,116 @@ func (sm *SM) issue(cycle int64) bool {
 // under-MLP warps that are not ready yet (neverWake if none) — gathered
 // for free during the failed scan; meaningful only when no warp is picked.
 func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
-	ns := sm.cfg.GPU.NumSchedulers
-	mlp := sm.cfg.GPU.MaxWarpMLP
 	// Greedy: stick with the last issued warp while it remains ready.
 	if last := sm.lastIssued[sched]; last >= 0 {
 		w := &sm.warps[last]
-		if w.ready(cycle, mlp) && sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(last) {
+		if w.ready(cycle, sm.cfg.GPU.MaxWarpMLP) && sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(last) {
 			return last, 0
 		}
 	}
-	// Oldest: smallest (CTA seq, warp idx) among ready warps. Policy gates
-	// are consulted only for warps ready this cycle, exactly as the fused
-	// w.ready(...) check did: not-ready short-circuited past the gates.
-	best := -1
+	return sm.oldestReady(sched, cycle)
+}
+
+// oldestReady walks the scheduler's runnable set oldest-first and returns
+// the first warp that is ready at the cycle and passes the policy gates:
+// the smallest (CTA seq, warp idx) among eligible warps, because the walk
+// is in age order. Gates are consulted only for ready warps, as the fused
+// ready-and-gated check always did. When no warp qualifies it returns -1
+// and the earliest readyAt among the runnable warps not ready yet
+// (neverWake if none): every runnable warp was visited, and warps outside
+// the set (dead, or at the MLP limit) wake only through finishLoad.
+func (sm *SM) oldestReady(sched int, cycle int64) (int, int64) {
+	sc := &sm.scheds[sched]
 	future := neverWake
-	for i := sched; i < len(sm.warps); i += ns {
-		w := &sm.warps[i]
-		if !w.Alive || w.memPending >= mlp {
-			continue
-		}
-		if w.readyAt > cycle {
-			if w.readyAt < future {
-				future = w.readyAt
+	for wi, word := range sc.runnable {
+		for word != 0 {
+			i := sc.order[wi<<6|bits.TrailingZeros64(word)]
+			word &= word - 1
+			w := &sm.warps[i]
+			if w.readyAt > cycle {
+				if w.readyAt < future {
+					future = w.readyAt
+				}
+				continue
 			}
-			continue
-		}
-		if !sm.pol.CTAActive(w.CTASlot) || !sm.pol.WarpActive(i) {
-			continue
-		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		b := &sm.warps[best]
-		if w.Seq < b.Seq || (w.Seq == b.Seq && w.Idx < b.Idx) {
-			best = i
+			if sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(i) {
+				return i, future
+			}
 		}
 	}
-	return best, future
+	return -1, future
+}
+
+// gtoSched is one scheduler's view of its warps (warp slots i with
+// i mod NumSchedulers == the scheduler's index). order lists the live
+// warps oldest-first by (CTA seq, warp idx); bit r of runnable caches
+// whether warps[order[r]] is Alive with memPending below MaxWarpMLP. The
+// set is a cache of that pure predicate (DESIGN.md §10): rebuildOrder
+// recomputes it wholesale, and syncRunnable refreshes one bit wherever
+// memPending changes.
+type gtoSched struct {
+	order    []int
+	runnable []uint64
+}
+
+// rebuildOrder recomputes every scheduler's age order, the warps' ranks and
+// the runnable bits from scratch. It runs when the set of live warps
+// changes: on a CTA launch and on a warp's death. Every rank is reset
+// first, so a warp that left the order (dead, possibly with loads still in
+// flight) holds -1 and its late finishLoad cannot touch a bit that now
+// belongs to another warp.
+func (sm *SM) rebuildOrder() {
+	for s := range sm.scheds {
+		sc := &sm.scheds[s]
+		sc.order = sc.order[:0]
+		clear(sc.runnable)
+	}
+	for i := range sm.warps {
+		sm.warps[i].rank = -1
+	}
+	// Resident slots in launch order (insertion sort: a handful of slots,
+	// already sorted but for the newest launch).
+	slots := sm.ageSlots[:0]
+	for slot := range sm.ctas {
+		if !sm.ctas[slot].Resident {
+			continue
+		}
+		slots = append(slots, slot)
+		for j := len(slots) - 1; j > 0 && sm.ctas[slots[j]].Seq < sm.ctas[slots[j-1]].Seq; j-- {
+			slots[j], slots[j-1] = slots[j-1], slots[j]
+		}
+	}
+	sm.ageSlots = slots
+	ns := len(sm.scheds)
+	for _, slot := range slots {
+		for idx := 0; idx < sm.warpsPerCTA; idx++ {
+			i := slot*sm.warpsPerCTA + idx
+			w := &sm.warps[i]
+			if !w.Alive {
+				continue
+			}
+			sc := &sm.scheds[i%ns]
+			w.rank = len(sc.order)
+			sc.order = append(sc.order, i)
+			sm.syncRunnable(w)
+		}
+	}
+}
+
+// syncRunnable sets the warp's runnable bit to the predicate it caches:
+// Alive && memPending < MaxWarpMLP. A warp outside the order (rank -1) has
+// no bit.
+func (sm *SM) syncRunnable(w *Warp) {
+	if w.rank < 0 {
+		return
+	}
+	sc := &sm.scheds[warpIndex(sm, w)%len(sm.scheds)]
+	word, bit := &sc.runnable[w.rank>>6], uint64(1)<<(w.rank&63)
+	if w.Alive && w.memPending < sm.cfg.GPU.MaxWarpMLP {
+		*word |= bit
+	} else {
+		*word &^= bit
+	}
 }
 
 // execute issues the warp's next instruction.
@@ -439,6 +535,7 @@ func (sm *SM) execute(w *Warp, cycle int64) {
 		}
 		w.readyAt = cycle + loadIssueLatency
 		w.memPending += l.Coalesced
+		sm.syncRunnable(w)
 		for r := 0; r < l.Coalesced; r++ {
 			sm.lsu.Push(lsuOp{warp: w, loadIdx: ins.LoadIdx, req: r, ctx: sm.ctx(w)})
 		}
@@ -469,6 +566,7 @@ func (sm *SM) advance(w *Warp, cycle int64) {
 		return
 	}
 	w.Alive = false
+	sm.rebuildOrder()
 	if w.memPending == 0 {
 		sm.retireWarp(w, cycle)
 	}
@@ -528,7 +626,10 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 
 	// Structural stall check first so a retried request has no side
 	// effects (probes, monitors, energy counters fire exactly once).
-	if !sm.l1.Probe(line) && !sm.l1.HasOutstanding(line) && !sm.l1.MSHRFree() {
+	// Policy hooks never touch L1 tag state (see lsuHeadStalled), so the
+	// residency probed here still holds at the fast path below.
+	resident := sm.l1.Probe(line)
+	if !resident && !sm.l1.HasOutstanding(line) && !sm.l1.MSHRFree() {
 		sm.l1.Stats.MSHRStalls++
 		return false
 	}
@@ -539,7 +640,7 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 	extra := sm.pol.ExtraL1Latency(line, cycle)
 
 	// Fast path: resident line.
-	if sm.l1.Probe(line) {
+	if resident {
 		sm.l1.Load(line, hpc, true)
 		sm.finishLoad(w, cycle, int64(sm.cfg.GPU.L1HitLatency+extra))
 		sm.Stats.LoadReqs[OutHit]++
@@ -565,7 +666,7 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 		// Unreachable: the structural check above covers MSHR exhaustion.
 		return false
 	case cache.HitPending:
-		sm.waiters[line] = append(sm.waiters[line], w)
+		sm.addWaiter(line, w)
 		sm.Stats.LoadReqs[OutPendingHit]++
 		sm.pol.OnLoadOutcome(warpIndex(sm, w), l.PC, line, OutPendingHit, cycle)
 	case cache.Miss, cache.MissNoAlloc:
@@ -573,7 +674,7 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 		if res == cache.MissNoAlloc {
 			out = OutBypass
 		}
-		sm.waiters[line] = append(sm.waiters[line], w)
+		sm.addWaiter(line, w)
 		req := sm.pool.Get()
 		req.Line, req.Kind, req.SM, req.WarpID, req.PC, req.IssueCycle, req.ExtraLatency =
 			line, memtypes.Load, sm.id, warpIndex(sm, w), l.PC, cycle, vlat
@@ -595,6 +696,7 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 func (sm *SM) finishLoad(w *Warp, cycle, latency int64) {
 	if w.memPending > 0 {
 		w.memPending--
+		sm.syncRunnable(w)
 	}
 	// The load's value becomes available `latency` cycles out; consumers
 	// are modelled through the MLP limit rather than a hard block, so the
@@ -621,16 +723,30 @@ func (sm *SM) handleResponse(req *memtypes.Request, cycle int64) {
 	switch req.Kind {
 	case memtypes.Load:
 		sm.l1.Fill(req.Line)
-		ws := sm.waiters[req.Line]
-		delete(sm.waiters, req.Line)
+		ws, _ := sm.waiters.Delete(req.Line)
 		for _, w := range ws {
 			sm.finishLoad(w, cycle, fillWakeLatency+int64(req.ExtraLatency))
 		}
+		sm.spareWaits = append(sm.spareWaits, ws[:0])
 		sm.pool.Put(req)
 	case memtypes.RegBackup, memtypes.RegRestore:
 		sm.pol.OnRegResponse(req, cycle)
 		sm.pool.Put(req)
 	}
+}
+
+// addWaiter registers the warp as waiting on the line's outstanding fill.
+// A line's first waiter takes a list from spareWaits when one is left.
+func (sm *SM) addWaiter(line memtypes.LineAddr, w *Warp) {
+	ws := sm.waiters.Get(line)
+	if ws == nil {
+		var fresh []*Warp
+		if n := len(sm.spareWaits); n > 0 {
+			fresh, sm.spareWaits = sm.spareWaits[n-1], sm.spareWaits[:n-1]
+		}
+		ws = sm.waiters.Put(line, fresh)
+	}
+	*ws = append(*ws, w)
 }
 
 func warpIndex(sm *SM, w *Warp) int {
