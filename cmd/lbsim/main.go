@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		checkFlag  = fs.Bool("check", false, "sweep runtime conservation invariants every cycle; abort on violation")
 		timeout    = fs.Duration("timeout", 0, "wall-clock limit for the run (0 = none)")
 		chaosSpec  = fs.String("chaos", "", "fault-injection spec, e.g. panic:sm:5000 or stall-dram:2000 (see internal/chaos)")
-		workers    = fs.Int("workers", 1, "SM-stepping threads (0 = GOMAXPROCS); results are identical at any count")
 		strict     = fs.Bool("strict", false, "tick every cycle instead of event-driven cycle skipping; results are identical in both modes")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -131,7 +130,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if cfg.Chaos, err = chaos.ParseSpec(*chaosSpec); err != nil {
 		return cliutil.Usagef("%v", err)
 	}
-	cfg.GPU.Workers = *workers
 	cfg.Strict = *strict
 	res, err := runKernel(cfg, kernel, pol, *windows, *timeout, *timeline, *recordFile, stdout, stderr)
 	if err != nil {

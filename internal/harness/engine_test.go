@@ -3,11 +3,13 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/linebacker-sim/linebacker/internal/chaos"
 	"github.com/linebacker-sim/linebacker/internal/check"
 	"github.com/linebacker-sim/linebacker/internal/config"
 	"github.com/linebacker-sim/linebacker/internal/sim"
@@ -253,5 +255,29 @@ func TestTimeoutAbortsRun(t *testing.T) {
 	var re *RunError
 	if !errors.As(err, &re) || re.Phase != PhaseRun {
 		t.Fatalf("timeout error = %+v, want *RunError in run phase", err)
+	}
+}
+
+// TestRetiredChaosStageRejected pins the fate of the "sm-worker" chaos
+// stage, which no longer exists: an old spec naming it fails ParseSpec, and
+// a config carrying it (as a hand-built or persisted one might) fails
+// validation with ErrBadConfig. Both errors name the valid stages.
+func TestRetiredChaosStageRejected(t *testing.T) {
+	const spec = "panic:sm-worker:1000"
+	stages := fmt.Sprint(config.ChaosStages)
+	if _, err := chaos.ParseSpec(spec); err == nil {
+		t.Fatalf("ParseSpec(%q) accepted a retired stage", spec)
+	} else if !strings.Contains(err.Error(), stages) {
+		t.Errorf("ParseSpec(%q) error does not name the valid stages %s: %v", spec, stages, err)
+	}
+
+	cfg := BenchConfig()
+	cfg.Chaos = config.Chaos{Enabled: true, Seed: 1, PanicStage: "sm-worker", PanicCycle: 1000}
+	_, err := NewRunner(cfg, 2).Run(context.Background(), "S2", sim.Baseline{})
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("run with PanicStage sm-worker: error %v, want ErrBadConfig", err)
+	}
+	if !strings.Contains(err.Error(), stages) {
+		t.Errorf("ErrBadConfig does not name the valid stages %s: %v", stages, err)
 	}
 }

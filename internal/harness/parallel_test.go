@@ -1,125 +1,9 @@
 package harness
 
 import (
-	"context"
-	"errors"
-	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
-
-	"github.com/linebacker-sim/linebacker/internal/config"
-	"github.com/linebacker-sim/linebacker/internal/sim"
 )
-
-// TestWorkersExcludedFromMemoKey proves the deliberate fingerprint
-// exclusion: the same run at different worker counts shares one memo entry
-// (results are bit-identical, so re-simulating would be pure waste), while
-// any other GPU field still splits the key.
-func TestWorkersExcludedFromMemoKey(t *testing.T) {
-	r := NewRunner(BenchConfig(), 2)
-
-	serial := r.Cfg
-	serial.GPU.Workers = 1
-	parallel := r.Cfg
-	parallel.GPU.Workers = 4
-
-	resSerial := r.MustRunCfg(serial, "", "S2", sim.Baseline{})
-	resParallel := r.MustRunCfg(parallel, "", "S2", sim.Baseline{})
-	if resSerial != resParallel {
-		t.Fatal("Workers=1 and Workers=4 produced distinct memo entries; the fingerprint must exclude Workers")
-	}
-	if got := r.Executions(); got != 1 {
-		t.Fatalf("executions = %d, want 1 (second worker count must hit the memo)", got)
-	}
-
-	// Control: a real configuration change must still miss.
-	bigger := parallel
-	bigger.GPU.L1Bytes *= 2
-	if r.MustRunCfg(bigger, "", "S2", sim.Baseline{}) == resSerial {
-		t.Fatal("L1 size change aliased to the memoised result")
-	}
-}
-
-// TestParallelRunMatchesSerialThroughRunner runs one benchmark through the
-// full harness stack (checker attached, recovery barrier, memoisation)
-// serially and in parallel, with memo sharing defeated via distinct
-// runners, and requires identical metrics. The sim-layer matrix test
-// covers the full worker-count spread; one parallel count here keeps the
-// package affordable under the race detector.
-func TestParallelRunMatchesSerialThroughRunner(t *testing.T) {
-	run := func(workers int) *sim.Result {
-		cfg := BenchConfig()
-		cfg.GPU.Workers = workers
-		cfg.Check = true
-		return NewRunner(cfg, 1).MustRun("BI", sim.Baseline{})
-	}
-	want := run(1)
-	for _, w := range []int{4} {
-		got := run(w)
-		if got.Cycles != want.Cycles || got.Instructions != want.Instructions ||
-			got.Loads != want.Loads || got.Stores != want.Stores ||
-			got.L1 != want.L1 || got.RF != want.RF || got.L2 != want.L2 ||
-			got.DRAM != want.DRAM {
-			t.Errorf("Workers=%d metrics diverged: serial %+v, got %+v", w, want, got)
-		}
-	}
-}
-
-// TestChaosSMWorkerPanicStructured is the chaos acceptance for the parallel
-// engine: a panic injected inside one SM's tick — on a worker goroutine,
-// since Workers > 1 — must surface as a structured *RunError naming the
-// right cycle, with the worker's stack and a machine snapshot, exactly like
-// a serial-stage panic does.
-func TestChaosSMWorkerPanicStructured(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := BenchConfig()
-		cfg.GPU.Workers = workers
-		cfg.Chaos = config.Chaos{Enabled: true, Seed: 3, PanicStage: "sm-worker", PanicCycle: 1000}
-		r := NewRunner(cfg, 2)
-
-		_, err := r.Run(context.Background(), "S2", sim.Baseline{})
-		var re *RunError
-		if !errors.As(err, &re) {
-			t.Fatalf("Workers=%d: error %T is not a *RunError: %v", workers, err, err)
-		}
-		if !errors.Is(re, ErrPanic) {
-			t.Errorf("Workers=%d: not classified as ErrPanic: %v", workers, re)
-		}
-		if re.Cycle != 1000 {
-			t.Errorf("Workers=%d: RunError.Cycle = %d, want 1000 (the injected PanicCycle)", workers, re.Cycle)
-		}
-		if !strings.Contains(re.Err.Error(), "chaos: injected panic in SM") {
-			t.Errorf("Workers=%d: cause lost the injected message: %v", workers, re.Err)
-		}
-		if re.Snapshot == "" {
-			t.Errorf("Workers=%d: no machine-state snapshot", workers)
-		}
-		if workers > 1 && !strings.Contains(re.Err.Error(), "[SM worker stack]") {
-			t.Errorf("Workers=%d: propagated panic lost the worker goroutine's stack: %v", workers, re.Err)
-		}
-	}
-}
-
-// TestNewRunnerDividesCores pins the core-budget split: sweep-level
-// concurrency is GOMAXPROCS divided by the configured intra-run workers,
-// never below one.
-func TestNewRunnerDividesCores(t *testing.T) {
-	maxProcs := runtime.GOMAXPROCS(0)
-	for _, workers := range []int{1, 2, 4, 0} {
-		cfg := BenchConfig()
-		cfg.GPU.Workers = workers
-		r := NewRunner(cfg, 2)
-		want := maxProcs / cfg.GPU.EffectiveWorkers(maxProcs)
-		if want < 1 {
-			want = 1
-		}
-		if r.SweepWorkers != want {
-			t.Errorf("Workers=%d: SweepWorkers = %d, want %d (GOMAXPROCS %d)",
-				workers, r.SweepWorkers, want, maxProcs)
-		}
-	}
-}
 
 // TestForEachIndexCoversAllAndBoundsFanOut proves the shared sweep pool
 // visits every index exactly once and never runs more than SweepWorkers

@@ -80,7 +80,7 @@ type Response struct {
 
 // RequestPool is a free list recycling Request objects inside one
 // single-threaded engine instance. Requests churn at every memory level
-// (SM outbox → icnt → L2 → DRAM and back), and allocating each one fresh
+// (SM → icnt → L2 → DRAM and back), and allocating each one fresh
 // made the allocator the hottest object in a sweep; the pool caps that at
 // the in-flight high-water mark.
 //

@@ -1,5 +1,5 @@
 // Package ring provides a growable FIFO ring buffer for the simulator's
-// hot-path queues (L2 input queue, SM outbox, LSU queue).
+// hot-path queues (L2 input queue, LSU queue).
 //
 // The engine's previous queues were plain slices advanced with
 // `q = q[1:]` — every pop leaked the backing array forward, so a queue

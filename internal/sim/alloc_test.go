@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"github.com/linebacker-sim/linebacker/internal/memtypes"
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
@@ -38,39 +39,10 @@ func TestStepAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestStepAllocCeilingParallel holds the parallel engine to the same
-// steady-state budget: per-SM request pools must keep their free lists
-// balanced even though stores die at L2/DRAM, away from the issuing SM (the
-// serial phases return them to the issuer's pool), and the executor's
-// kick/barrier channels must not allocate per cycle. The ceiling gets one
-// extra object over the serial budget for scheduler bookkeeping.
-func TestStepAllocCeilingParallel(t *testing.T) {
-	cfg := testConfig()
-	cfg.GPU.Workers = 2
-	g, err := New(cfg, tinyKernel(400, 48), Baseline{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	for i := 0; i < 2000; i++ {
-		g.Step()
-	}
-	const steps = 2000
-	perStep := testing.AllocsPerRun(1, func() {
-		for i := 0; i < steps; i++ {
-			g.Step()
-		}
-	}) / steps
-	const ceiling = 6.0
-	if perStep > ceiling {
-		t.Errorf("parallel GPU.Step allocates %.2f objects/step steady-state, ceiling %v", perStep, ceiling)
-	}
-}
-
 // TestL1MissFillAllocatesNothing drives one load line-request through the
 // whole L1 miss path of an SM — MSHR entry, waiter registration, request
-// to the outbox — and back through its fill, and requires the round trip
-// to allocate nothing once the per-SM pools and tables are warm.
+// into the interconnect — and back through its fill, and requires the
+// round trip to allocate nothing once the pool and tables are warm.
 func TestL1MissFillAllocatesNothing(t *testing.T) {
 	g, err := New(testConfig(), tinyKernel(400, 48), Baseline{})
 	if err != nil {
@@ -83,16 +55,17 @@ func TestL1MissFillAllocatesNothing(t *testing.T) {
 	w := &sm.warps[0]
 	var cycle int64
 	var missed bool
+	fill := func(req *memtypes.Request) { sm.handleResponse(req, cycle) }
 	roundTrip := func() {
 		cycle++
 		op := lsuOp{warp: w, loadIdx: 1, req: 0, ctx: workload.Ctx{SM: sm.id, CTASeq: w.Seq, Warp: w.Idx, Iter: int(cycle % 8)}}
 		line := sm.kernel.Address(op.loadIdx, op.ctx, op.req)
 		w.memPending = 1
-		if !sm.processOp(op, cycle) || sm.outbox.Len() != 1 {
+		if !sm.processOp(op, cycle) || g.toL2.Pending() != 1 {
 			return
 		}
 		missed = true
-		sm.handleResponse(sm.outbox.Pop(), cycle)
+		g.toL2.DeliverEach(neverWake, fill)
 		sm.l1.Invalidate(line)
 	}
 	for i := 0; i < 100; i++ {

@@ -48,12 +48,12 @@ func mergeEvent(best int64, any bool, c int64, ok bool, now int64) (int64, bool)
 // NextEvent implements the component protocol for one SM: the earliest
 // cycle at which the SM front-end, LSU or its policy can change state.
 //
-//   - A non-empty outbox pins the event to now: it is drained at every
-//     cycle barrier. A non-empty LSU queue pins the event to now UNLESS its
-//     head-of-line request is structurally stalled on a full MSHR: a
-//     stalled head blocks the whole queue, and each retried cycle mutates
-//     exactly one counter (l1.Stats.MSHRStalls — the structural check in
-//     processOp runs before any other side effect), which skipCycles
+//   - Held requests pin the event to now: they enter the interconnect at
+//     the SM's next step. A non-empty LSU queue pins the event to now
+//     UNLESS its head-of-line request is structurally stalled on a full
+//     MSHR: a stalled head blocks the whole queue, and each retried cycle
+//     mutates exactly one counter (l1.Stats.MSHRStalls — the structural
+//     check in processOp runs before any other side effect), which skipCycles
 //     reproduces in closed form. The stall can only resolve through an L1
 //     fill, and fills arrive via handleResponse — the response link's
 //     event, so a skip can never jump over the resolution cycle.
@@ -70,7 +70,7 @@ func mergeEvent(best int64, any bool, c int64, ok bool, now int64) (int64, bool)
 //     span. Future-ready warps are counted without consulting gates: that
 //     is conservative (at worst one spurious tick), never unsafe.
 func (sm *SM) NextEvent(now int64) (int64, bool) {
-	if sm.outbox.Len() > 0 {
+	if len(sm.held) > 0 {
 		return now, true
 	}
 	if sm.lsu.Len() > 0 && !sm.lsuHeadStalled() {
@@ -108,8 +108,7 @@ const neverWake = int64(1)<<62 - 1
 // "busy" verdict just means the SM ticks again next cycle, which is always
 // safe. Correctness rests solely on NextEvent's contract, and on the wake
 // cache being reset at the SM's two external input points (handleResponse,
-// launchCTA). Both run on the coordinating goroutine between cycle
-// barriers, so workers never observe a torn nextWake.
+// launchCTA).
 func (g *GPU) stepSM(sm *SM, cyc int64) {
 	if !g.smSleep {
 		sm.tick(cyc)
@@ -125,7 +124,7 @@ func (g *GPU) stepSM(sm *SM, cyc int64) {
 	}
 	// An issue-less tick means every scheduler completed a full scan, so
 	// sm.scanWake already holds the warps' next ready cycle; fold in the
-	// policy's self-event and the outbox and the wake is complete. The LSU
+	// policy's self-event and the wake is complete. The LSU
 	// contributes nothing of its own: an inactive tick implies it is empty
 	// or head-of-line stalled on a full MSHR (runLSU would otherwise have
 	// moved and made the tick active), and a stalled head resolves only
@@ -154,9 +153,6 @@ func (g *GPU) stepSM(sm *SM, cyc int64) {
 	wake := sm.scanWake
 	if pok && pc < wake {
 		wake = pc
-	}
-	if sm.outbox.Len() > 0 {
-		wake = cyc + 1
 	}
 	sm.nextWake = wake
 	sm.sleepStalled = sm.lsu.Len() > 0
@@ -271,10 +267,7 @@ func (g *GPU) nextEventCycle(now int64) (int64, bool) {
 	best, any = mergeEvent(best, any, c, ok, now)
 	if g.faults != nil {
 		// RunCtx guarantees the assertion: skipping is disabled for
-		// injectors that do not implement NextEventer. Reading the
-		// injector's fault flags here is race-free — workers are parked at
-		// the cycle barrier between Steps, which orders their writes before
-		// this coordinator read.
+		// injectors that do not implement NextEventer.
 		ne := g.faults.(NextEventer)
 		c, ok = ne.NextEvent(now)
 		best, any = mergeEvent(best, any, c, ok, now)

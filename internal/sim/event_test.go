@@ -95,7 +95,7 @@ func eventFingerprint(g *GPU) uint64 {
 			mix(v)
 		}
 		mix(int64(sm.lsu.Len()))
-		mix(int64(sm.outbox.Len()))
+		mix(int64(len(sm.held)))
 		mix(int64(sm.freeSlots))
 		mix(int64(sm.l1.StateHash()))
 		for i := range sm.warps {

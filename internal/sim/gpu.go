@@ -37,6 +37,10 @@ type GPU struct {
 	toL2   *icnt.Link
 	fromL2 *icnt.Link
 
+	// pool recycles the run's Request objects. Get returns a zeroed
+	// object, so pool order is invisible to simulated state (DESIGN.md §8).
+	pool memtypes.RequestPool
+
 	l2        *cache.Cache
 	l2Queue   ring.Buffer[*memtypes.Request]
 	l2Waiters map[memtypes.LineAddr][]*memtypes.Request
@@ -52,21 +56,14 @@ type GPU struct {
 	// ticking (event.go). Diagnostic only: never part of Result/StateDump.
 	skipped int64
 
-	// workers is the resolved intra-run parallelism (config.GPU.Workers
-	// against this machine); exec is the persistent SM worker pool, built
-	// lazily on the first Step when workers > 1 and torn down by Close.
-	// With workers == 1 the engine is exactly the serial machine.
-	workers int
-	exec    *smExecutor
-
-	checker  CycleChecker
-	faults   FaultInjector
-	smFaults SMTickFaultInjector
+	checker CycleChecker
+	faults  FaultInjector
 
 	// smSleep enables per-SM sleeping inside ticked cycles (see stepSM in
 	// event.go). RunCtx turns it on for event-driven runs with no fault
-	// injector: SMTick faults must observe a real tick on every cycle, so
-	// any injector forces full per-SM ticking even when global skipping
+	// injector: a stage injector may mutate machine state (an SM's
+	// counters, the DRAM's stall flag) behind the SM and DRAM wake caches,
+	// so any injector forces full per-SM ticking even when global skipping
 	// stays legal.
 	smSleep bool
 
@@ -104,13 +101,7 @@ type FaultInjector interface {
 }
 
 // SetFaultInjector installs (or, with nil, removes) the fault injector.
-// An injector that additionally implements SMTickFaultInjector is also
-// consulted inside each SM's tick — on a worker goroutine when the run is
-// parallel (see exec.go for the contract that keeps that race-free).
-func (g *GPU) SetFaultInjector(f FaultInjector) {
-	g.faults = f
-	g.smFaults, _ = f.(SMTickFaultInjector)
-}
+func (g *GPU) SetFaultInjector(f FaultInjector) { g.faults = f }
 
 // stage notifies the fault injector that the named Step phase is starting.
 func (g *GPU) stage(name string, cyc int64) {
@@ -142,7 +133,6 @@ func New(cfg config.Config, k *workload.Kernel, pol Policy) (*GPU, error) {
 		l2Ports:   l2PortsFor(cfg.GPU.NumSMs),
 		l2Waiters: make(map[memtypes.LineAddr][]*memtypes.Request),
 		dram:      dram.New(&cfg.GPU),
-		workers:   resolveWorkers(cfg.GPU.Workers, cfg.GPU.NumSMs),
 	}
 	// Split the minimum L2 round trip across request path, service, and
 	// response path.
@@ -152,7 +142,7 @@ func New(cfg config.Config, k *workload.Kernel, pol Policy) (*GPU, error) {
 	g.fromL2 = icnt.New(lat*3/10, cfg.GPU.NumSMs*2)
 
 	for i := 0; i < cfg.GPU.NumSMs; i++ {
-		sm := newSM(i, &g.cfg, k)
+		sm := newSM(i, &g.cfg, k, g.toL2, &g.pool)
 		smp := pol.Attach(sm)
 		sm.pol = smp
 		g.sms = append(g.sms, sm)
@@ -216,11 +206,6 @@ const checkpointCycles = 8192
 // forces strict ticking: the engine cannot know which cycles it must not
 // jump over.
 func (g *GPU) RunCtx(ctx context.Context, maxCycles int64) (int64, error) {
-	// A parallel run's worker pool lives exactly as long as the run loop:
-	// Step builds it lazily, and no goroutine survives past this return
-	// (Close is idempotent, so callers that Step by hand and Close
-	// themselves compose with RunCtx).
-	defer g.Close()
 	if maxCycles == 0 {
 		maxCycles = g.cfg.MaxCycles
 	}
@@ -283,21 +268,6 @@ func (g *GPU) committed() int64 {
 	return n
 }
 
-// Close tears down the parallel stepping workers, if any are running.
-// Idempotent and cheap when the run is serial. Callers that drive Step
-// directly with Workers > 1 (benchmarks, tools) should Close when done;
-// RunCtx does it automatically.
-func (g *GPU) Close() {
-	if g.exec != nil {
-		g.exec.stop()
-		g.exec = nil
-	}
-}
-
-// Workers returns the resolved intra-run worker count (>= 1) this machine
-// will use for the SM phase.
-func (g *GPU) Workers() int { return g.workers }
-
 // Progress returns the committed-instruction count published at the last
 // RunCtx checkpoint. Safe to call from other goroutines while the
 // simulation runs; a watchdog that sees the same value across a wall-clock
@@ -319,13 +289,11 @@ func (g *GPU) done() bool {
 		g.l2Queue.Len() == 0 && g.dram.QueueLen() == 0 && g.dram.Inflight() == 0
 }
 
-// Step advances the whole GPU by one cycle: a serial dispatch, the SM
-// phase (parallel across disjoint SM chunks when Workers > 1, plain loop
-// otherwise), an ordered merge of the per-SM outboxes into the
-// interconnect, and the serial memory phases. The SM phase only ever
-// touches per-SM state, and the merge happens in fixed SM-index order, so
-// the machine's trajectory is bit-identical for every worker count
-// (DESIGN.md §9).
+// Step advances the whole GPU by one cycle: dispatch, the SM phase, then
+// the memory phases. SMs step in SM-index order and send their line
+// requests straight into the interconnect, so icnt sequence numbers — and
+// every tie-break derived from them — follow SM index. A request an SM
+// raised outside its tick (sm.held) enters just before that SM steps.
 func (g *GPU) Step() {
 	cyc := g.cycle
 
@@ -333,27 +301,11 @@ func (g *GPU) Step() {
 	g.dispatch(cyc)
 
 	g.stage("sm", cyc)
-	if g.workers > 1 && g.exec == nil {
-		g.exec = newSMExecutor(g, g.workers)
-	}
-	if g.exec != nil {
-		g.exec.cycle(cyc)
-	} else {
-		for id, sm := range g.sms {
-			if g.smFaults != nil {
-				g.smFaults.SMTick(g, id, cyc)
-			}
-			g.stepSM(sm, cyc)
-		}
-	}
-	// Barrier merge: drain the per-SM outboxes into the interconnect in
-	// SM-index order. The serial engine produced exactly this injection
-	// order (ticks never observe the interconnect), so icnt sequence
-	// numbers — and every tie-break derived from them — are preserved.
 	for _, sm := range g.sms {
-		for sm.outbox.Len() > 0 {
-			g.toL2.Send(sm.outbox.Pop(), cyc)
+		if len(sm.held) > 0 {
+			sm.sendHeld(cyc)
 		}
+		g.stepSM(sm, cyc)
 	}
 
 	// Requests arriving at L2.
@@ -446,15 +398,13 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 	case memtypes.Store:
 		// Death point: the L2 is write-allocate, so a store retires here.
 		// Any dirty writeback it displaces is built before the incoming
-		// request is recycled (Put zeroes the object). Recycling goes back
-		// to the issuing SM's pool — the L2 phase is serial, and returning
-		// objects to their origin keeps every per-SM free list balanced.
+		// request is recycled (Put zeroes the object).
 		res, ev, evicted := g.l2.Store(req.Line)
 		if evicted && ev.Dirty {
 			g.enqueueDRAM(g.writeback(ev.Line, req.SM))
 		}
 		_ = res
-		g.sms[req.SM].pool.Put(req)
+		g.pool.Put(req)
 		return true
 	case memtypes.Load:
 		res, ev, evicted := g.l2.Load(req.Line, 0, true)
@@ -478,10 +428,10 @@ func (g *GPU) l2Access(req *memtypes.Request, cyc int64) bool {
 	}
 }
 
-// writeback builds a pooled dirty-eviction store request, drawn from the
-// triggering SM's pool (only ever called from the serial memory phases).
+// writeback builds a pooled dirty-eviction store request on behalf of the
+// SM whose access displaced the line.
 func (g *GPU) writeback(line memtypes.LineAddr, smID int) *memtypes.Request {
-	wb := g.sms[smID].pool.Get()
+	wb := g.pool.Get()
 	wb.Line, wb.Kind, wb.SM, wb.WarpID = line, memtypes.Store, smID, -1
 	return wb
 }
@@ -490,9 +440,8 @@ func (g *GPU) writeback(line memtypes.LineAddr, smID int) *memtypes.Request {
 func (g *GPU) dramComplete(req *memtypes.Request, cyc int64) {
 	switch req.Kind {
 	case memtypes.Store:
-		// Writeback completion: nothing to deliver. Death point — recycle
-		// to the owning SM's pool (the DRAM phase is serial).
-		g.sms[req.SM].pool.Put(req)
+		// Writeback completion: nothing to deliver. Death point.
+		g.pool.Put(req)
 	case memtypes.Load:
 		g.l2.Fill(req.Line)
 		g.fromL2.Send(req, cyc)

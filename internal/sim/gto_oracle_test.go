@@ -165,9 +165,10 @@ func TestStaleRankAfterRelaunch(t *testing.T) {
 	fills := map[int]*memtypes.Request{} // by warp slot
 	for ; cycle < 200 && len(fills) < 4; cycle++ {
 		sm.tick(cycle)
-		for sm.outbox.Len() > 0 {
-			req := sm.outbox.Pop()
-			fills[req.WarpID] = req
+		for g.toL2.Pending() > 0 {
+			for _, req := range g.toL2.Deliver(neverWake) {
+				fills[req.WarpID] = req
+			}
 		}
 		check(fmt.Sprintf("tick %d", cycle), cycle+1)
 	}

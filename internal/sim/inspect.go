@@ -14,13 +14,13 @@ import (
 // the simulation; all of them reflect the state between two Step calls.
 
 // ForEachInflight visits every request object currently travelling below
-// the SMs: per-SM outboxes, the SM→L2 link, the L2 input queue, requests
+// the SMs: requests the SMs hold for their next step, the SM→L2 link, the L2 input queue, requests
 // parked on L2 MSHRs, the DRAM queues and service stations, and the L2→SM
 // response link. Each live request is visited exactly once.
 func (g *GPU) ForEachInflight(fn func(*memtypes.Request)) {
 	for _, sm := range g.sms {
-		for i := 0; i < sm.outbox.Len(); i++ {
-			fn(sm.outbox.At(i))
+		for _, req := range sm.held {
+			fn(req)
 		}
 	}
 	g.toL2.ForEach(fn)
@@ -98,9 +98,6 @@ func (sm *SM) SumMemPending() int {
 	return n
 }
 
-// OutboxLen returns the requests queued for hand-off to the interconnect.
-func (sm *SM) OutboxLen() int { return sm.outbox.Len() }
-
 // StateDump renders a deterministic one-look diagnostic snapshot of the
 // machine's in-flight state: where every queue stands and what each SM has
 // committed. Harness RunErrors attach it so a watchdog abort or recovered
@@ -115,8 +112,8 @@ func (g *GPU) StateDump() string {
 		g.toL2.Pending(), g.fromL2.Pending(), g.l2Queue.Len(), len(g.l2Waiters),
 		g.dram.QueueLen(), g.dram.Inflight(), g.dram.Stalled())
 	for _, sm := range g.sms {
-		fmt.Fprintf(&b, "SM%d: retired=%d resident=%d outbox=%d lsu=%d waitLines=%d waitEntries=%d memPending=%d\n",
-			sm.id, sm.Stats.Retired, sm.ResidentCTAs(), sm.outbox.Len(), sm.lsu.Len(),
+		fmt.Fprintf(&b, "SM%d: retired=%d resident=%d held=%d lsu=%d waitLines=%d waitEntries=%d memPending=%d\n",
+			sm.id, sm.Stats.Retired, sm.ResidentCTAs(), len(sm.held), sm.lsu.Len(),
 			sm.WaiterLines(), sm.WaiterEntries(), sm.SumMemPending())
 	}
 	return b.String()

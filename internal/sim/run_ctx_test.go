@@ -31,6 +31,24 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	}
 }
 
+// TestRunCtxResumesAcrossSegments proves a machine can be run in
+// segments — the timeline path calls RunCtx once per window — and that
+// each call stops exactly at its bound.
+func TestRunCtxResumesAcrossSegments(t *testing.T) {
+	g, err := New(testConfig(), tinyKernel(400, 48), Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seg := int64(1); seg <= 3; seg++ {
+		if _, err := g.RunCtx(context.Background(), seg*500); err != nil {
+			t.Fatal(err)
+		}
+		if g.Cycle() != seg*500 {
+			t.Fatalf("segment %d stopped at cycle %d, want %d", seg, g.Cycle(), seg*500)
+		}
+	}
+}
+
 func TestRunCtxCancelsAtWindowBoundary(t *testing.T) {
 	cfg := testConfig()
 	g, err := New(cfg, tinyKernel(100000, 64), Baseline{})

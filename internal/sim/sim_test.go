@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/linebacker-sim/linebacker/internal/config"
@@ -244,6 +245,64 @@ func TestRegTrafficRoundTrip(t *testing.T) {
 	}
 	if g.DRAM().Stats.RegBackupBytes != 128 || g.DRAM().Stats.RegRestoreBytes != 128 {
 		t.Fatalf("reg traffic bytes: %+v", g.DRAM().Stats)
+	}
+}
+
+// TestHeldRegTrafficEntersAtNextStep pins where a register transfer raised
+// outside an SM's tick enters the interconnect. A fill in the response
+// stage can complete a CTA, and Linebacker may then start a restore. The
+// request is held and enters at the start of the SM's next step: after
+// every lower-indexed SM's sends of that cycle, before the SM's own.
+func TestHeldRegTrafficEntersAtNextStep(t *testing.T) {
+	g, err := New(testConfig(), tinyKernel(400, 48), Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		g.Step()
+	}
+	for g.toL2.Pending() > 0 {
+		g.toL2.Deliver(neverWake)
+	}
+	cyc := g.Cycle()
+	sm := g.sms[1]
+	req := sm.SendRegTraffic(memtypes.RegRestore, 7, cyc-1)
+	if len(sm.held) != 1 || g.toL2.Pending() != 0 {
+		t.Fatalf("a send outside the tick went straight to the link: held=%d pending=%d", len(sm.held), g.toL2.Pending())
+	}
+	if c, ok := sm.NextEvent(cyc); !ok || c != cyc {
+		t.Fatalf("held request does not pin the SM's event to now: (%d, %v)", c, ok)
+	}
+	seen := false
+	g.ForEachInflight(func(r *memtypes.Request) { seen = seen || r == req })
+	if !seen {
+		t.Fatal("ForEachInflight misses the held request")
+	}
+
+	g.Step()
+	if len(sm.held) != 0 {
+		t.Fatalf("held request still held after the step")
+	}
+	lat := int64(g.cfg.GPU.L2Latency) * 3 / 10
+	if c, _ := g.toL2.NextEvent(0); c != cyc+lat {
+		t.Fatalf("link's first arrival at cycle %d, want %d (everything sent at cycle %d)", c, cyc+lat, cyc)
+	}
+	var order []*memtypes.Request
+	for g.toL2.Pending() > 0 {
+		order = append(order, g.toL2.Deliver(neverWake)...)
+	}
+	at := slices.Index(order, req)
+	if at <= 0 || at == len(order)-1 {
+		t.Fatalf("held request at position %d of %d; the step should put SM 0's sends before it and SM 1's after", at, len(order))
+	}
+	for i, r := range order {
+		want := 0
+		if i > at {
+			want = 1
+		}
+		if i != at && r.SM != want {
+			t.Fatalf("request %d of %d (held one at %d) comes from SM %d, want %d", i, len(order), at, r.SM, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/linebacker-sim/linebacker/internal/cache"
 	"github.com/linebacker-sim/linebacker/internal/config"
+	"github.com/linebacker-sim/linebacker/internal/icnt"
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
 	"github.com/linebacker-sim/linebacker/internal/regfile"
 	"github.com/linebacker-sim/linebacker/internal/ring"
@@ -93,21 +94,23 @@ type SM struct {
 
 	lsu      ring.Buffer[lsuOp]
 	lsuWidth int
-	outbox   ring.Buffer[*memtypes.Request]
+
+	// toL2 and pool are the GPU's request link and request pool: a line
+	// request enters the interconnect the moment the SM issues it. held
+	// keeps the requests raised outside the SM's tick — a fill in the
+	// response stage can complete a CTA, and Linebacker then starts a
+	// register restore — until the SM's next step, where sendHeld injects
+	// them ahead of that step's own sends. ticking marks the tick.
+	toL2    *icnt.Link
+	pool    *memtypes.RequestPool
+	held    []*memtypes.Request
+	ticking bool
 
 	// waiters maps each line with an outstanding L1 fill to the warps
 	// waiting on it, one entry per L1 MSHR entry. Delivered lists go back
 	// to spareWaits, so a miss reuses an old list instead of allocating.
 	waiters    cache.LineTable[[]*Warp]
 	spareWaits [][]*Warp
-
-	// pool recycles this SM's Request objects. Per-SM ownership is what
-	// keeps the free list race-free under parallel stepping: during the SM
-	// phase only this SM's goroutine touches it, and the serial memory
-	// phases return every dying request to the pool of the SM that issued
-	// it (req.SM). Get still returns a zeroed object, so pool order stays
-	// invisible to simulated state (DESIGN.md §8, §9).
-	pool memtypes.RequestPool
 
 	pol SMPolicy
 
@@ -154,12 +157,14 @@ const loadIssueLatency = 2
 const fillWakeLatency = 4
 
 // newSM builds an SM for the kernel.
-func newSM(id int, cfg *config.Config, k *workload.Kernel) *SM {
+func newSM(id int, cfg *config.Config, k *workload.Kernel, toL2 *icnt.Link, pool *memtypes.RequestPool) *SM {
 	g := &cfg.GPU
 	sm := &SM{
 		id:          id,
 		cfg:         cfg,
 		kernel:      k,
+		toL2:        toL2,
+		pool:        pool,
 		l1:          cache.New(g.L1Bytes, g.L1Ways, g.L1MSHRs, false),
 		rf:          regfile.New(g),
 		warpsPerCTA: k.WarpsPerCTA,
@@ -278,8 +283,22 @@ func (sm *SM) SendRegTraffic(kind memtypes.Kind, rn int, cycle int64) *memtypes.
 	line := memtypes.LineAddr(backupRegion + uint64(sm.id)<<20 + uint64(rn)*memtypes.LineSize)
 	req := sm.pool.Get()
 	req.Line, req.Kind, req.SM, req.WarpID, req.IssueCycle, req.Meta = line, kind, sm.id, -1, cycle, rn
-	sm.outbox.Push(req)
+	if sm.ticking {
+		sm.toL2.Send(req, cycle)
+	} else {
+		sm.held = append(sm.held, req)
+	}
 	return req
+}
+
+// sendHeld injects the requests held since the SM's last tick, in the
+// order they were raised.
+func (sm *SM) sendHeld(cycle int64) {
+	for i, req := range sm.held {
+		sm.toL2.Send(req, cycle)
+		sm.held[i] = nil
+	}
+	sm.held = sm.held[:0]
 }
 
 // ReleaseCTARegs frees the register allocation of a still-resident CTA
@@ -367,9 +386,11 @@ func (sm *SM) Busy() bool {
 // a cheap activity hint stepSM uses to decide when an event rescan is
 // worth it; it carries no correctness weight (see event.go).
 func (sm *SM) tick(cycle int64) bool {
+	sm.ticking = true
 	issued := sm.issue(cycle)
 	moved := sm.runLSU(cycle)
 	sm.pol.OnCycle(cycle)
+	sm.ticking = false
 	return issued || moved
 }
 
@@ -620,7 +641,7 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 		req := sm.pool.Get()
 		req.Line, req.Kind, req.SM, req.WarpID, req.PC, req.IssueCycle =
 			line, memtypes.Store, sm.id, warpIndex(sm, w), l.PC, cycle
-		sm.outbox.Push(req)
+		sm.toL2.Send(req, cycle)
 		return true
 	}
 
@@ -678,7 +699,7 @@ func (sm *SM) processOp(op lsuOp, cycle int64) bool {
 		req := sm.pool.Get()
 		req.Line, req.Kind, req.SM, req.WarpID, req.PC, req.IssueCycle, req.ExtraLatency =
 			line, memtypes.Load, sm.id, warpIndex(sm, w), l.PC, cycle, vlat
-		sm.outbox.Push(req)
+		sm.toL2.Send(req, cycle)
 		sm.Stats.LoadReqs[out]++
 		sm.pol.OnLoadOutcome(warpIndex(sm, w), l.PC, line, out, cycle)
 	case cache.Hit:
