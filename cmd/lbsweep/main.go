@@ -3,16 +3,18 @@
 //
 // Sweeps execute on the fault-tolerant harness runner: every point runs
 // under panic isolation with an optional wall-clock timeout, and with
-// -journal the completed points checkpoint to a JSONL file — re-running
-// the same command after an interruption re-simulates only the missing
-// points.
+// -store the completed points commit to a persistent result store (the
+// one lbserve uses) — re-running the same command after an interruption
+// re-simulates only the missing points. Store keys carry the config
+// fingerprint and the run length, so a rerun with different flags never
+// reuses another run's points.
 //
 // Usage:
 //
 //	lbsweep -mode swl -bench S2
 //	lbsweep -mode cache -bench BI -scheme linebacker
 //	lbsweep -mode vtt -bench BC
-//	lbsweep -mode swl -bench KM -journal sweep.jsonl   # resumable
+//	lbsweep -mode swl -bench KM -store sweepdir   # resumable
 //
 // Exit status: 0 ok, 1 run failure, 2 usage error.
 package main
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"github.com/linebacker-sim/linebacker"
@@ -32,6 +35,7 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/harness"
 	"github.com/linebacker-sim/linebacker/internal/schemes"
 	"github.com/linebacker-sim/linebacker/internal/sim"
+	"github.com/linebacker-sim/linebacker/internal/store"
 	"github.com/linebacker-sim/linebacker/internal/twin"
 )
 
@@ -51,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		windows    = fs.Int("windows", 16, "run length in monitoring windows")
 		paper      = fs.Bool("paper", false, "full Table 1 scale")
 		timeout    = fs.Duration("timeout", 0, "wall-clock limit per point (0 = none)")
-		journal    = fs.String("journal", "", "JSONL checkpoint file; an existing one resumes the sweep")
+		storeDir   = fs.String("store", "", "result store directory; completed points commit there and a rerun resumes past them")
 		chaosSpec  = fs.String("chaos", "", "fault-injection spec, e.g. panic:sm:5000 (see internal/chaos)")
 		twinMode   = fs.Bool("twin", false, "answer the cache sweep from a calibrated analytical twin where in-envelope (simulates only the calibration anchors and any out-of-envelope point)")
 		strict     = fs.Bool("strict", false, "tick every cycle instead of event-driven cycle skipping; results are identical in both modes")
@@ -90,23 +94,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 	r := harness.NewRunner(cfg, *windows)
 	r.Timeout = *timeout
 	r.WatchdogTick = 10 * time.Second
-	if *journal != "" {
-		j, err := harness.OpenJournal(*journal)
+	if *storeDir != "" {
+		st, err := store.Open(*storeDir, store.Options{})
 		if err != nil {
 			return err
 		}
 		defer func() {
-			if cerr := j.Close(); cerr != nil {
-				fmt.Fprintln(stderr, "lbsweep: journal:", cerr)
+			if cerr := st.Close(); cerr != nil {
+				fmt.Fprintln(stderr, "lbsweep: store:", cerr)
 			}
 		}()
-		for _, w := range j.Warnings() {
-			fmt.Fprintln(stderr, "lbsweep: journal:", w)
+		if rep := st.Report(); rep.Skipped > 0 || rep.TruncatedBytes > 0 {
+			fmt.Fprintf(stderr, "lbsweep: store %s: skipped %d corrupt record(s) and %d torn tail byte(s); those points re-simulate\n",
+				*storeDir, rep.Skipped, rep.TruncatedBytes)
 		}
-		if j.Len() > 0 {
-			fmt.Fprintf(stderr, "lbsweep: journal %s: resuming past %d completed point(s)\n", *journal, j.Len())
-		}
-		r.AttachJournal(j)
+		resumed := &resumeCounter{Store: st}
+		r.AttachStore(resumed)
+		defer func() {
+			if n := resumed.n.Load(); n > 0 {
+				fmt.Fprintf(stderr, "lbsweep: store %s: resuming past %d completed point(s)\n", *storeDir, n)
+			}
+		}()
 	}
 
 	ctx := context.Background()
@@ -222,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, ways := range []int{1, 2, 4, 8, 16, 32} {
 			pol := core.NewWith(core.Options{Selection: true, Throttling: true, VTTWays: ways})
 			// Distinct cfgKey per point: the VTT policies share a Name, and
-			// the memo/journal key must not alias them.
+			// the memo key must not alias them.
 			res, err := runOne(cfg, fmt.Sprintf("vtt=%d", ways), pol)
 			if err != nil {
 				return err
@@ -234,4 +242,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cliutil.Usagef("unknown mode %q", *mode)
 	}
 	return nil
+}
+
+// resumeCounter counts the points the store answered from an earlier
+// commit instead of simulating, for the resume notice.
+type resumeCounter struct {
+	*store.Store
+	n atomic.Int64
+}
+
+func (c *resumeCounter) DoOnce(ctx context.Context, key string, fn func(ctx context.Context) (*sim.Result, error)) (*sim.Result, bool, error) {
+	res, ran, err := c.Store.DoOnce(ctx, key, fn)
+	if err == nil && !ran {
+		c.n.Add(1)
+	}
+	return res, ran, err
 }

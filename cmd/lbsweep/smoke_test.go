@@ -47,28 +47,56 @@ func TestChaosPanicFailsSweep(t *testing.T) {
 	}
 }
 
-func TestJournalResume(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	args := []string{"-mode", "vtt", "-bench", "S2", "-windows", "1", "-journal", journal}
+func TestStoreResume(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-mode", "vtt", "-bench", "S2", "-windows", "1", "-store", dir}
 
 	var out1, err1 bytes.Buffer
 	if err := run(args, &out1, &err1); err != nil {
 		t.Fatalf("first sweep failed: %v", err)
 	}
 	if strings.Contains(err1.String(), "resuming") {
-		t.Fatalf("fresh journal claimed a resume:\n%s", err1.String())
+		t.Fatalf("fresh store claimed a resume:\n%s", err1.String())
 	}
 
-	// Second invocation: every point must come from the journal, with the
+	// Second invocation: every point must come from the store, with the
 	// resume notice on stderr and bit-identical sweep output.
 	var out2, err2 bytes.Buffer
 	if err := run(args, &out2, &err2); err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
-	if !strings.Contains(err2.String(), "resuming past") {
-		t.Fatalf("no resume notice on stderr:\n%s", err2.String())
+	if !strings.Contains(err2.String(), "resuming past 6 completed point(s)") {
+		t.Fatalf("no resume notice for the 6 points on stderr:\n%s", err2.String())
 	}
 	if out1.String() != out2.String() {
 		t.Fatalf("resumed sweep output diverged:\n--- first\n%s--- second\n%s", out1.String(), out2.String())
+	}
+
+	// A different run length over the same store is a different sweep: it
+	// must simulate afresh, not resume past the 1-window points.
+	args[5] = "2"
+	var out3, err3 bytes.Buffer
+	if err := run(args, &out3, &err3); err != nil {
+		t.Fatalf("2-window sweep failed: %v", err)
+	}
+	if strings.Contains(err3.String(), "resuming") {
+		t.Fatalf("2-window sweep resumed past 1-window points:\n%s", err3.String())
+	}
+	fresh, err := runCLI(t, "-mode", "vtt", "-bench", "S2", "-windows", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out3.String() != fresh {
+		t.Fatalf("2-window sweep over a 1-window store diverged from a storeless run:\n--- store\n%s--- fresh\n%s", out3.String(), fresh)
+	}
+}
+
+// TestJournalFlagRemoved pins the -journal -> -store replacement: the old
+// flag is a usage error, not a silently ignored option.
+func TestJournalFlagRemoved(t *testing.T) {
+	var stderr bytes.Buffer
+	err := run([]string{"-journal", filepath.Join(t.TempDir(), "x")}, io.Discard, &stderr)
+	if code := cliutil.Exit(&stderr, "lbsweep", err); code != 2 {
+		t.Fatalf("-journal exit %d, want 2 (usage)", code)
 	}
 }

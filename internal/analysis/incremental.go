@@ -304,8 +304,8 @@ func wholeEntryName(suite string, paths []string, closures map[string]string) st
 	return "w-" + hex.EncodeToString(h.Sum(nil))[:40] + ".json"
 }
 
-// cacheEntry is the on-disk format of one cache file.
-type cacheEntry struct {
+// cacheRecord is the on-disk format of one cache file.
+type cacheRecord struct {
 	Schema  int          `json:"schema"`
 	Package string       `json:"package,omitempty"` // import path; empty for whole-program entries
 	Diags   []cachedDiag `json:"diags"`
@@ -327,7 +327,7 @@ func readCacheEntry(cacheDir, name, wantPkg string) ([]Diagnostic, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var e cacheEntry
+	var e cacheRecord
 	if json.Unmarshal(data, &e) != nil || e.Schema != cacheSchemaVersion || e.Package != wantPkg {
 		return nil, false
 	}
@@ -348,7 +348,7 @@ func writeCacheEntry(cacheDir, name, pkg string, diags []Diagnostic) error {
 	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
 		return err
 	}
-	e := cacheEntry{Schema: cacheSchemaVersion, Package: pkg, Diags: make([]cachedDiag, len(diags))}
+	e := cacheRecord{Schema: cacheSchemaVersion, Package: pkg, Diags: make([]cachedDiag, len(diags))}
 	for i, d := range diags {
 		e.Diags[i] = cachedDiag{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Analyzer: d.Analyzer, Message: d.Message}
 	}

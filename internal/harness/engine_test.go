@@ -13,6 +13,7 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/check"
 	"github.com/linebacker-sim/linebacker/internal/config"
 	"github.com/linebacker-sim/linebacker/internal/sim"
+	"github.com/linebacker-sim/linebacker/internal/store"
 	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
@@ -173,14 +174,14 @@ func TestAcceptanceCancellationSweep(t *testing.T) {
 	// the run before cancellation is ever consulted.
 	r := NewRunner(BenchConfig(), acceptWindows)
 
-	// Attach a journal so the test can also prove a cancelled run leaves no
-	// partial checkpoint behind.
-	j, err := OpenJournal(t.TempDir() + "/sweep.jsonl")
+	// Attach a store so the test can also prove a cancelled run leaves no
+	// partial commit behind.
+	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	r.AttachJournal(j)
+	defer st.Close()
+	r.AttachStore(st)
 
 	victimCtx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the victim ever starts
@@ -214,19 +215,22 @@ func TestAcceptanceCancellationSweep(t *testing.T) {
 	assertSweepMatchesGolden(t, s, results, golden, victim)
 
 	// Determinism of recovery: the cancelled point must leave no memo or
-	// journal entry, and a clean re-run must still reproduce the golden
+	// store entry, and a clean re-run must still reproduce the golden
 	// metrics exactly — cancellation can never mask nondeterminism.
-	r.mu.Lock()
-	for key := range r.cache {
+	r.results.mu.Lock()
+	for key := range r.results.vals {
 		if strings.Contains(key, "|"+victim+"|") {
 			t.Errorf("cancelled run left memo entry %q", key)
 		}
 	}
-	r.mu.Unlock()
-	for key := range j.Entries() {
+	r.results.mu.Unlock()
+	for _, key := range st.Keys() {
 		if strings.Contains(key, "|"+victim+"|") {
-			t.Errorf("cancelled run left journal entry %q", key)
+			t.Errorf("cancelled run left store entry %q", key)
 		}
+	}
+	if got, want := st.Len(), len(workload.Names())-1; got != want {
+		t.Errorf("store holds %d entries, want %d (every point but the cancelled one)", got, want)
 	}
 
 	res, err := r.RunCfg(context.Background(), r.Cfg, "", victim, sim.Baseline{})

@@ -106,6 +106,18 @@ type RunError struct {
 	Err error
 }
 
+// asRunError returns err as a failure of the point id: a *RunError passes
+// through; anything else — a wait ended by the caller's context, a store
+// lease or refresh failure — becomes a PhaseQueue failure of the point.
+func asRunError(id RunError, err error) error {
+	var re *RunError
+	if errors.As(err, &re) {
+		return err
+	}
+	id.Phase, id.Err = PhaseQueue, err
+	return &id
+}
+
 // Error renders the point identity and cause; the snapshot and stack are
 // deliberately excluded (use Detail for the full diagnostic).
 func (e *RunError) Error() string {

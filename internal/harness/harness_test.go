@@ -119,10 +119,7 @@ func TestFailedRunsAreNotMemoised(t *testing.T) {
 	if _, err := r.Run(ctx, "no-such-bench", sim.Baseline{}); err == nil {
 		t.Fatal("expected failure")
 	}
-	r.mu.Lock()
-	n := len(r.cache)
-	r.mu.Unlock()
-	if n != 0 {
+	if n := r.results.Len(); n != 0 {
 		t.Fatalf("failed run left %d memo entries", n)
 	}
 }

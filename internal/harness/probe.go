@@ -2,13 +2,10 @@ package harness
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
 	"github.com/linebacker-sim/linebacker/internal/sim"
 	"github.com/linebacker-sim/linebacker/internal/stats"
-	"github.com/linebacker-sim/linebacker/internal/workload"
 )
 
 // ProbeResult carries the per-load statistics of an instrumented baseline
@@ -18,23 +15,33 @@ type ProbeResult struct {
 }
 
 // RunProbe executes the benchmark under the baseline policy with a per-load
-// probe attached to every SM and returns merged per-load statistics.
-// Same-bench calls are single-flight, memoised like RunCfg's. A non-nil
-// error is always a *RunError.
+// probe attached to every SM and returns merged per-load statistics. It
+// runs under the same fault barrier as RunCfg and is memoised under the
+// same key function (policy "probe", the runner's base config and run
+// length), single-flight, in memory only. A non-nil error is always a
+// *RunError.
 func (r *Runner) RunProbe(ctx context.Context, bench string) (*ProbeResult, error) {
-	queueErr := func(cause error) error {
-		return &RunError{Bench: bench, Policy: "probe", Phase: PhaseQueue, Err: cause}
-	}
-	res, _, err := singleFlight(r, ctx, r.probeCache, "probe|"+bench, queueErr, func() (*ProbeResult, error) {
-		select {
-		case r.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, queueErr(context.Cause(ctx))
-		}
-		defer func() { <-r.sem }()
-		return r.executeProbe(ctx, bench)
+	id := RunError{Bench: bench, Policy: "probe"}
+	cfg := r.Cfg
+	res, err := r.probes.Do(ctx, r.memoKey(&cfg, &id), func() (*ProbeResult, error) {
+		return execute(ctx, r, id, cfg, sim.Baseline{}, func(g *sim.GPU) func() *ProbeResult {
+			probes := make([]*stats.LoadProbe, len(g.SMs()))
+			for i, smx := range g.SMs() {
+				p := stats.NewLoadProbe(int64(cfg.LB.WindowCycles))
+				probes[i] = p
+				smx.Probe = func(warpSlot int, pc uint32, line memtypes.LineAddr, isStore bool, cycle int64) {
+					if !isStore {
+						p.Observe(pc, line, cycle)
+					}
+				}
+			}
+			return func() *ProbeResult { return &ProbeResult{Loads: mergeProbes(probes)} }
+		})
 	})
-	return res, err
+	if err != nil {
+		return nil, asRunError(id, err)
+	}
+	return res, nil
 }
 
 // MustRunProbe is RunProbe with a background context, panicking on failure.
@@ -45,54 +52,6 @@ func (r *Runner) MustRunProbe(bench string) *ProbeResult {
 		panic(err)
 	}
 	return res
-}
-
-func (r *Runner) executeProbe(ctx context.Context, bench string) (res *ProbeResult, err error) {
-	rerr := &RunError{Bench: bench, Policy: "probe", Phase: PhaseSetup}
-	var g *sim.GPU
-	defer func() {
-		if p := recover(); p != nil {
-			rerr.Err = fmt.Errorf("%w: %v", ErrPanic, p)
-			rerr.Stack = string(debug.Stack())
-			if g != nil {
-				rerr.Cycle = g.Cycle()
-				rerr.Snapshot = safeDump(g)
-			}
-			res, err = nil, rerr
-		}
-	}()
-
-	b, ok := workload.ByName(bench)
-	if !ok {
-		rerr.Err = fmt.Errorf("%w %q", ErrUnknownBench, bench)
-		return nil, rerr
-	}
-	machine, serr := sim.New(r.Cfg, b.Kernel, sim.Baseline{})
-	if serr != nil {
-		rerr.Err = fmt.Errorf("%w: %w", ErrBadConfig, serr)
-		return nil, rerr
-	}
-	g = machine
-	r.execs.Add(1)
-	probes := make([]*stats.LoadProbe, len(g.SMs()))
-	for i, smx := range g.SMs() {
-		p := stats.NewLoadProbe(int64(r.Cfg.LB.WindowCycles))
-		probes[i] = p
-		smx.Probe = func(warpSlot int, pc uint32, line memtypes.LineAddr, isStore bool, cycle int64) {
-			if !isStore {
-				p.Observe(pc, line, cycle)
-			}
-		}
-	}
-	rerr.Phase = PhaseRun
-	cyc, runErr := g.RunCtx(ctx, r.cycles(&r.Cfg))
-	if runErr != nil {
-		rerr.Cycle = cyc
-		rerr.Snapshot = safeDump(g)
-		rerr.Err = runErr
-		return nil, rerr
-	}
-	return &ProbeResult{Loads: mergeProbes(probes)}, nil
 }
 
 // mergeProbes averages per-PC statistics across SMs.

@@ -9,8 +9,8 @@
 // identity and a machine-state snapshot; sweeps degrade gracefully by
 // skipping (and reporting) failed points instead of dying. Successful
 // results — and only successful results — are memoised, and optionally
-// journaled to disk so interrupted sweeps resume without re-simulating
-// completed points.
+// committed to a persistent store (AttachStore) so interrupted sweeps
+// resume without re-simulating completed points.
 package harness
 
 import (
@@ -56,82 +56,20 @@ type Runner struct {
 	// 0 falls back to serial sweeps.
 	SweepWorkers int
 
-	mu         sync.Mutex
-	cache      map[string]*sim.Result
-	probeCache map[string]*ProbeResult
-	flights    map[string]*flight
-	sem        chan struct{}
-	journal    *Journal
-	store      ResultStore
-	execs      atomic.Int64
+	results Memo[*sim.Result]
+	probes  Memo[*ProbeResult]
+	sem     chan struct{}
+	mu      sync.Mutex // guards store
+	store   ResultStore
+	execs   atomic.Int64
 }
 
-// ResultStore is the persistent memo backend a Runner can attach
-// (internal/store implements it). Get/Put mirror the in-memory cache;
-// DoOnce adds cross-process single-flight — with a store attached, a memo
-// key is simulated at most once across every process sharing the store
-// directory, not just within this Runner.
+// ResultStore is the durable memo backend a Runner can attach
+// (internal/store implements it). DoOnce returns the committed result for
+// key or executes fn at most once across every process sharing the
+// backend, committing a success before it returns.
 type ResultStore interface {
-	Get(key string) (*sim.Result, bool)
-	Put(key string, res *sim.Result) error
 	DoOnce(ctx context.Context, key string, fn func(ctx context.Context) (*sim.Result, error)) (*sim.Result, bool, error)
-}
-
-// flight is one in-progress execution of a memo key. Concurrent same-key
-// callers that arrive while the leader runs wait on done instead of
-// executing (and journaling) the identical simulation a second time.
-type flight struct {
-	done chan struct{} // closed by the leader after res/err are set
-	res  any           // the leader's result: *sim.Result or *ProbeResult
-	err  error
-}
-
-// singleFlight returns memo[key], or runs exec as the key's one leader, or
-// waits for the running leader and shares its result — the in-process
-// dedup behind RunCfg and RunProbe. Failures are never shared forward: a
-// waiter whose leader failed tries again, as a potential leader, under its
-// own context. A waiter whose context ends first returns queueErr(cause).
-// ran reports whether this caller executed.
-func singleFlight[T any](r *Runner, ctx context.Context, memo map[string]T, key string,
-	queueErr func(cause error) error, exec func() (T, error)) (res T, ran bool, err error) {
-	var f *flight
-	for {
-		r.mu.Lock()
-		if res, ok := memo[key]; ok {
-			r.mu.Unlock()
-			return res, false, nil
-		}
-		inFlight := false
-		if f, inFlight = r.flights[key]; !inFlight {
-			f = &flight{done: make(chan struct{})}
-			r.flights[key] = f
-			r.mu.Unlock()
-			break // this caller is the leader
-		}
-		r.mu.Unlock()
-		select {
-		case <-f.done:
-			if f.err == nil {
-				return f.res.(T), false, nil
-			}
-		case <-ctx.Done():
-			return res, false, queueErr(context.Cause(ctx))
-		}
-	}
-
-	res, err = exec()
-	// Publish atomically: memo insert and flight retirement happen under
-	// the same critical section, so no racing caller can observe the gap
-	// (missing memo entry, no flight) and start a duplicate execution.
-	r.mu.Lock()
-	if err == nil {
-		memo[key] = res
-	}
-	delete(r.flights, key)
-	r.mu.Unlock()
-	f.res, f.err = res, err
-	close(f.done)
-	return res, true, err
 }
 
 // NewRunner builds a runner over the given configuration. windows sets the
@@ -143,9 +81,6 @@ func NewRunner(cfg config.Config, windows int) *Runner {
 		Cfg:          cfg,
 		Windows:      windows,
 		SweepWorkers: sweep,
-		cache:        map[string]*sim.Result{},
-		probeCache:   map[string]*ProbeResult{},
-		flights:      map[string]*flight{},
 		sem:          make(chan struct{}, sweep),
 	}
 }
@@ -188,30 +123,11 @@ func (r *Runner) forEachIndex(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// AttachJournal preloads the memo cache from the journal's records and
-// persists every subsequent successful run to it. Keys embed the full
-// config fingerprint, so entries journaled under a different configuration
-// are simply never hit. The returned report says what the preload found —
-// loaded, skipped-as-corrupt and truncated-tail counts — so services can
-// export it and tests can assert on recovery instead of re-parsing
-// warnings.
-func (r *Runner) AttachJournal(j *Journal) JournalReport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.journal = j
-	for k, res := range j.Entries() {
-		if _, ok := r.cache[k]; !ok {
-			r.cache[k] = res
-		}
-	}
-	return j.Report()
-}
-
-// AttachStore routes every memo miss through the persistent store: the
-// leader of an in-process flight executes under the store's cross-process
-// single-flight (DoOnce), so concurrent clients — and concurrent server
-// replicas — pay one simulation per key, and every success is committed
-// (CRC-framed, fsynced) before the caller sees it.
+// AttachStore makes st the durable backend of the result memo: an
+// in-process leader executes under the store's cross-process single-flight
+// (DoOnce), so concurrent callers, later processes and server replicas
+// sharing the store directory pay one simulation per key, and every
+// success is committed (CRC-framed, fsynced) before the caller sees it.
 func (r *Runner) AttachStore(st ResultStore) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -219,7 +135,7 @@ func (r *Runner) AttachStore(st ResultStore) {
 }
 
 // Executions returns how many simulations actually ran (memo misses) —
-// journal-resume tests use it to prove completed points are not re-run.
+// resume tests use it to prove completed points are not re-run.
 func (r *Runner) Executions() int64 { return r.execs.Load() }
 
 // BenchConfig returns a fast experiment configuration: 4 SMs with the
@@ -251,12 +167,12 @@ func (r *Runner) cycles(cfg *config.Config) int64 {
 // key. Config is a tree of value types, so %v is deterministic and two
 // configs collide only when they are semantically identical. Chaos fields
 // are part of the fingerprint by construction: a faulted run can never
-// alias a clean cache or journal entry.
+// alias a clean memo or store entry.
 //
 // Strict is the one deliberate exclusion: it only chooses whether the run
 // loop ticks every cycle or fast-forwards over provably idle spans —
 // results are bit-identical in both run modes (test-enforced, DESIGN.md
-// §10) — so such runs share memo and journal entries instead of
+// §10) — so such runs share memo and store entries instead of
 // re-simulating.
 func cfgFingerprint(cfg *config.Config) string {
 	canon := *cfg
@@ -264,9 +180,16 @@ func cfgFingerprint(cfg *config.Config) string {
 	return fmt.Sprintf("%v", canon)
 }
 
+// memoKey is the one memo key of every run, in memory and in the store:
+// the caller's cfgKey, the run length, the config fingerprint, the bench
+// and the policy name. The run length is the runner's, not the config's,
+// so it is keyed here rather than left to callers.
+func (r *Runner) memoKey(cfg *config.Config, id *RunError) string {
+	return fmt.Sprintf("%s|windows=%d|%s|%s|%s", id.CfgKey, r.Windows, cfgFingerprint(cfg), id.Bench, id.Policy)
+}
+
 // Run simulates one benchmark under one policy using the runner's base
-// config, memoised by (config fingerprint, bench, policy-name). A non-nil
-// error is always a *RunError.
+// config, memoised like RunCfg. A non-nil error is always a *RunError.
 func (r *Runner) Run(ctx context.Context, bench string, pol sim.Policy) (*sim.Result, error) {
 	return r.RunCfg(ctx, r.Cfg, "", bench, pol)
 }
@@ -283,75 +206,39 @@ func (r *Runner) MustRun(bench string, pol sim.Policy) *sim.Result {
 	return res
 }
 
-// RunCfg simulates with an explicit configuration. The memo key always
-// includes a full fingerprint of cfg, so two different configurations can
-// never alias a cache entry; cfgKey is a human-readable discriminator kept
-// for experiment labelling and stable memo keys across sweeps. Only
-// successful results enter the memo cache and journal — a failed or
+// RunCfg simulates with an explicit configuration. The memo key (memoKey)
+// carries a full fingerprint of cfg and the run length, so two different
+// configurations or run lengths can never alias an entry; cfgKey is a
+// human-readable discriminator kept for experiment labelling. Only
+// successful results enter the memo and the attached store — a failed or
 // cancelled run leaves no partial entry behind. A non-nil error is always
 // a *RunError.
 //
 // Same-key calls are single-flight: concurrent callers that miss the memo
-// cache while an identical run is executing wait for that run instead of
-// duplicating it, so a key is simulated (and journaled) exactly once no
+// while an identical run is executing wait for that run instead of
+// duplicating it, so a key is simulated (and committed) exactly once no
 // matter how many sweep goroutines race to it. Failures are never shared
 // forward: a waiter whose leader failed retries with its own context.
 func (r *Runner) RunCfg(ctx context.Context, cfg config.Config, cfgKey, bench string, pol sim.Policy) (*sim.Result, error) {
-	key := fmt.Sprintf("%s|%s|%s|%s", cfgKey, cfgFingerprint(&cfg), bench, pol.Name())
-	res, ran, err := singleFlight(r, ctx, r.cache, key, func(cause error) error {
-		return &RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey, Phase: PhaseQueue, Err: cause}
-	}, func() (*sim.Result, error) {
-		return r.lead(ctx, key, cfg, cfgKey, bench, pol)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ran {
-		r.mu.Lock()
-		j := r.journal
-		r.mu.Unlock()
-		if j != nil {
-			j.Record(key, res)
+	id := RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey}
+	key := r.memoKey(&cfg, &id)
+	res, err := r.results.Do(ctx, key, func() (*sim.Result, error) {
+		run := func(ctx context.Context) (*sim.Result, error) {
+			return execute(ctx, r, id, cfg, pol, func(g *sim.GPU) func() *sim.Result { return g.Collect })
 		}
-	}
-	return res, nil
-}
-
-// lead executes RunCfg's point as the key's in-process leader: it takes a
-// sweep-pool slot, then simulates — through the attached store's
-// cross-process single-flight when there is one.
-func (r *Runner) lead(ctx context.Context, key string, cfg config.Config, cfgKey, bench string, pol sim.Policy) (*sim.Result, error) {
-	var res *sim.Result
-	var err error
-	select {
-	case r.sem <- struct{}{}:
 		r.mu.Lock()
 		st := r.store
 		r.mu.Unlock()
-		if st != nil {
-			// The store may satisfy the key from another process's commit
-			// (no execution), or run us as the cross-process leader.
-			res, _, err = st.DoOnce(ctx, key, func(ctx context.Context) (*sim.Result, error) {
-				return r.execute(ctx, cfg, cfgKey, bench, pol)
-			})
-		} else {
-			res, err = r.execute(ctx, cfg, cfgKey, bench, pol)
+		if st == nil {
+			return run(ctx)
 		}
-		<-r.sem
-	case <-ctx.Done():
-		err = &RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey,
-			Phase: PhaseQueue, Err: context.Cause(ctx)}
-	}
+		// The store may satisfy the key from another process's commit (no
+		// execution), or run us as the cross-process leader.
+		res, _, err := st.DoOnce(ctx, key, run)
+		return res, err
+	})
 	if err != nil {
-		// Store-layer failures (lease wait cancelled, refresh I/O) arrive
-		// unstructured; keep the RunCfg contract that every error is a
-		// *RunError carrying the point's identity.
-		var re *RunError
-		if !errors.As(err, &re) {
-			err = &RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey,
-				Phase: PhaseQueue, Err: err}
-		}
-		return nil, err
+		return nil, asRunError(id, err)
 	}
 	return res, nil
 }
@@ -365,13 +252,27 @@ func (r *Runner) MustRunCfg(cfg config.Config, cfgKey, bench string, pol sim.Pol
 	return res
 }
 
-// execute runs one simulation under the full fault barrier: panic
-// recovery, per-run deadline, forward-progress watchdog and cooperative
-// cancellation. All machine state in the returned *RunError (cycle,
-// snapshot) is read by this goroutine after the run loop has stopped, so
-// no diagnostic ever races the engine.
-func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench string, pol sim.Policy) (res *sim.Result, err error) {
-	rerr := &RunError{Bench: bench, Policy: pol.Name(), CfgKey: cfgKey, Phase: PhaseSetup}
+// execute runs one simulation of the point id under the full fault
+// barrier: it waits for a sweep-pool slot, then builds the machine with
+// panic recovery, attaches the checker and any chaos faults, and runs it
+// under the per-run deadline, the forward-progress watchdog and
+// cooperative cancellation. wire is called on the built machine before it
+// runs and returns the collector of the point's result. All machine state
+// in the returned *RunError (cycle, snapshot) is read by this goroutine
+// after the run loop has stopped, so no diagnostic ever races the engine.
+func execute[T any](ctx context.Context, r *Runner, id RunError, cfg config.Config, pol sim.Policy,
+	wire func(g *sim.GPU) (collect func() T)) (res T, err error) {
+	rerr := &id
+	rerr.Phase = PhaseQueue
+	select {
+	case r.sem <- struct{}{}:
+		defer func() { <-r.sem }()
+	case <-ctx.Done():
+		rerr.Err = context.Cause(ctx)
+		return res, rerr
+	}
+
+	rerr.Phase = PhaseSetup
 	var g *sim.GPU
 	defer func() {
 		if p := recover(); p != nil {
@@ -381,25 +282,27 @@ func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench s
 				rerr.Cycle = g.Cycle()
 				rerr.Snapshot = safeDump(g)
 			}
-			res, err = nil, rerr
+			var zero T
+			res, err = zero, rerr
 		}
 	}()
 
-	b, ok := workload.ByName(bench)
+	b, ok := workload.ByName(id.Bench)
 	if !ok {
-		rerr.Err = fmt.Errorf("%w %q", ErrUnknownBench, bench)
-		return nil, rerr
+		rerr.Err = fmt.Errorf("%w %q", ErrUnknownBench, id.Bench)
+		return res, rerr
 	}
 	machine, serr := sim.New(cfg, b.Kernel, pol)
 	if serr != nil {
 		rerr.Err = fmt.Errorf("%w: %w", ErrBadConfig, serr)
-		return nil, rerr
+		return res, rerr
 	}
 	g = machine
 	if cfg.Check {
 		check.Attach(g)
 	}
 	chaos.Attach(g)
+	collect := wire(g)
 	r.execs.Add(1)
 
 	runCtx := ctx
@@ -424,10 +327,10 @@ func (r *Runner) execute(ctx context.Context, cfg config.Config, cfgKey, bench s
 		rerr.Cycle = cyc
 		rerr.Snapshot = safeDump(g)
 		rerr.Err = runErr
-		return nil, rerr
+		return res, rerr
 	}
 	rerr.Phase = PhaseCollect
-	return g.Collect(), nil
+	return collect(), nil
 }
 
 // safeDump renders the diagnostic snapshot, never letting a dump of an

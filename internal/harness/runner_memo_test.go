@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"github.com/linebacker-sim/linebacker/internal/sim"
 )
@@ -42,5 +45,51 @@ func TestRunCfgKeyIncludesPolicy(t *testing.T) {
 	b := r.MustRun("BI", sim.Baseline{})
 	if a == b {
 		t.Fatal("different benchmarks aliased")
+	}
+}
+
+// TestRunProbeUnderFaultBarrier is the regression test for the probe path
+// running outside the fault barrier: RunProbe ignored Runner.Timeout (and
+// the watchdog, checker and chaos) because it had its own copy of the run
+// loop.
+func TestRunProbeUnderFaultBarrier(t *testing.T) {
+	r := tinyRunner()
+	r.Timeout = time.Nanosecond
+	_, err := r.RunProbe(context.Background(), "S2")
+	var re *RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("RunProbe err = %T %v, want a *RunError", err, err)
+	}
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("RunProbe err = %v, want ErrTimeout", err)
+	}
+}
+
+// TestRunProbeKeyCarriesConfigAndRunLength is the regression test for the
+// probe memo key being the bench name alone: a probe after a change to the
+// base config or the run length returned the earlier probe's statistics.
+func TestRunProbeKeyCarriesConfigAndRunLength(t *testing.T) {
+	r := tinyRunner()
+	ctx := context.Background()
+	probe := func() {
+		t.Helper()
+		if _, err := r.RunProbe(ctx, "S2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe()
+	probe()
+	if got := r.Executions(); got != 1 {
+		t.Fatalf("repeated probe executed %d times, want 1", got)
+	}
+	r.Cfg.GPU.L1Bytes *= 2
+	probe()
+	if got := r.Executions(); got != 2 {
+		t.Fatalf("probe after an L1 change executed %d times in total, want 2", got)
+	}
+	r.Windows++
+	probe()
+	if got := r.Executions(); got != 3 {
+		t.Fatalf("probe after a run-length change executed %d times in total, want 3", got)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -14,16 +12,17 @@ import (
 	"github.com/linebacker-sim/linebacker/internal/store"
 )
 
-// storeRunner returns a tiny-machine runner with a persistent store
-// attached over dir.
-func storeRunner(t *testing.T, dir string) (*Runner, *store.Store) {
+// storeRunner returns a tiny-machine runner of the given run length with
+// a persistent store attached over dir.
+func storeRunner(t *testing.T, dir string, windows int) (*Runner, *store.Store) {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{LeasePoll: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	r := journalRunner()
+	r := tinyRunner()
+	r.Windows = windows
 	r.AttachStore(st)
 	return r, st
 }
@@ -32,7 +31,7 @@ func TestStoreBackedMemoPersistsAcrossRunners(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	r1, st1 := storeRunner(t, dir)
+	r1, st1 := storeRunner(t, dir, 2)
 	a, err := r1.Run(ctx, "S2", sim.Baseline{})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,7 @@ func TestStoreBackedMemoPersistsAcrossRunners(t *testing.T) {
 
 	// A second runner over the same directory — a restarted process, or a
 	// replica — must serve the point from the store without simulating.
-	r2, _ := storeRunner(t, dir)
+	r2, st2 := storeRunner(t, dir, 2)
 	b, err := r2.Run(ctx, "S2", sim.Baseline{})
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +53,65 @@ func TestStoreBackedMemoPersistsAcrossRunners(t *testing.T) {
 	if a.Cycles != b.Cycles || a.Instructions != b.Instructions || a.IPC() != b.IPC() {
 		t.Fatalf("store round-trip changed the result: %+v vs %+v", a, b)
 	}
+
+	// Only the incomplete point simulates, and the store then holds both.
+	if _, err := r2.Run(ctx, "BI", sim.Baseline{}); err != nil {
+		t.Fatal(err)
+	}
+	if r2.Executions() != 1 {
+		t.Fatalf("incomplete point did not simulate (%d executions)", r2.Executions())
+	}
+	if st2.Len() != 2 {
+		t.Fatalf("store holds %d entries, want 2", st2.Len())
+	}
+}
+
+func TestStoreChangedConfigNeverAliases(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	r1, _ := storeRunner(t, dir, 2)
+	if _, err := r1.Run(ctx, "S2", sim.Baseline{}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Same store, different configuration: the key fingerprints differ, so
+	// the committed entry must be ignored and the run re-simulated.
+	r2, st2 := storeRunner(t, dir, 2)
+	r2.Cfg.GPU.L1Bytes = 96 * 1024
+	if _, err := r2.Run(ctx, "S2", sim.Baseline{}); err != nil {
+		t.Fatal(err)
+	}
+	if r2.Executions() != 1 {
+		t.Fatal("changed config hit a stale store entry")
+	}
+	if st2.Len() != 2 {
+		t.Fatalf("store holds %d entries, want 2", st2.Len())
+	}
+}
+
+// TestStoreRunLengthNeverAliases is the regression test for a memo key
+// that left out the run length: a 2-window run over a store holding the
+// 1-window result of the same point returned the 1-window numbers.
+func TestStoreRunLengthNeverAliases(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	r1, _ := storeRunner(t, dir, 1)
+	short, err := r1.Run(ctx, "S2", sim.Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r2, _ := storeRunner(t, dir, 2)
+	long, err := r2.Run(ctx, "S2", sim.Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Executions() != 1 {
+		t.Fatalf("2-window run executed %d times over a 1-window store entry, want 1", r2.Executions())
+	}
+	if long.Cycles <= short.Cycles {
+		t.Fatalf("2-window run reported %d cycles, 1-window run %d", long.Cycles, short.Cycles)
+	}
 }
 
 func TestStoreSingleFlightAcrossRunners(t *testing.T) {
@@ -61,8 +119,8 @@ func TestStoreSingleFlightAcrossRunners(t *testing.T) {
 	// concurrently: the cross-process lease must let exactly one execute.
 	dir := t.TempDir()
 	ctx := context.Background()
-	r1, _ := storeRunner(t, dir)
-	r2, _ := storeRunner(t, dir)
+	r1, _ := storeRunner(t, dir, 2)
+	r2, _ := storeRunner(t, dir, 2)
 
 	var wg sync.WaitGroup
 	runs := []*Runner{r1, r2, r1, r2}
@@ -87,7 +145,7 @@ func TestStoreSingleFlightAcrossRunners(t *testing.T) {
 
 func TestStoreFailedRunNotCommitted(t *testing.T) {
 	dir := t.TempDir()
-	r, st := storeRunner(t, dir)
+	r, st := storeRunner(t, dir, 2)
 	r.Timeout = time.Nanosecond // every run fails with ErrTimeout
 
 	_, err := r.Run(context.Background(), "S2", sim.Baseline{})
@@ -142,57 +200,5 @@ func TestTransientClassification(t *testing.T) {
 	both := &RunError{Err: fmt.Errorf("%w: %w", ErrBadConfig, ErrPanic)}
 	if Transient(both) {
 		t.Error("badconfig+panic classified transient; deterministic failures must never retry")
-	}
-}
-
-func TestJournalReportCounts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	good := `{"v":1,"key":"a|b|c","result":{"Policy":"baseline","Cycles":10,"Instructions":5}}`
-	bad := `{"v":1,"key":`
-	invalid := `{"v":9,"key":"x","result":{}}`
-	partial := `{"v":1,"key":"tail`
-	content := good + "\n" + bad + "\n" + invalid + "\n" + partial // no trailing newline
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	rep := j.Report()
-	if rep.Loaded != 1 || rep.Skipped != 2 || rep.TruncatedBytes != int64(len(partial)) {
-		t.Fatalf("report = %+v, want {Loaded:1 Skipped:2 TruncatedBytes:%d}", rep, len(partial))
-	}
-
-	// AttachJournal surfaces the same report to the caller.
-	r := journalRunner()
-	if got := r.AttachJournal(j); got != rep {
-		t.Fatalf("AttachJournal report %+v != journal report %+v", got, rep)
-	}
-}
-
-func TestJournalRecordIsDurableBeforeReturn(t *testing.T) {
-	// The fsync-on-record rule: once Record returns, the full line must be
-	// on disk — readable by a second process — with no Close in between.
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.Record("k|fp|S2|baseline", &sim.Result{Policy: "baseline", Cycles: 3, Instructions: 9})
-	if err := j.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if rep := j2.Report(); rep.Loaded != 1 || rep.Skipped != 0 || rep.TruncatedBytes != 0 {
-		t.Fatalf("acknowledged record not cleanly on disk: %+v", rep)
 	}
 }

@@ -1,7 +1,7 @@
 // Package store is a persistent, concurrent-safe, content-addressed result
-// store keyed by the harness memo key (config fingerprint + bench +
-// policy). It generalises the harness memo cache and the JSONL sweep
-// journal into something a long-lived service can trust:
+// store keyed by the harness memo key (cfgKey + run length + config
+// fingerprint + bench + policy). It is the durable backend of the harness
+// memo, shared by lbserve and resumable lbsweep runs:
 //
 //   - records are CRC-framed in append-only segment files and fsynced on
 //     commit, so an acknowledged result survives a power loss;
@@ -121,11 +121,10 @@ func indexMagic(b []byte) int {
 	return -1
 }
 
-// SyncCommit flushes f's written data to stable storage. It is the commit
-// point shared by the store's segments and the harness sweep journal: a
-// record is only acknowledged after SyncCommit returns, so a power loss
-// can cost at most the record being written, never one already
-// acknowledged.
-func SyncCommit(f *os.File) error {
+// syncCommit flushes f's written data to stable storage. It is the
+// store's commit point: a record is only acknowledged after syncCommit
+// returns, so a power loss can cost at most the record being written,
+// never one already acknowledged.
+func syncCommit(f *os.File) error {
 	return f.Sync()
 }

@@ -320,8 +320,7 @@ func (s *Store) Report() LoadReport {
 	return s.report
 }
 
-// Err returns the first sticky write failure, if any. Like the journal, a
-// failed append degrades durability, not correctness: the in-memory entry
+// Err returns the first sticky write failure, if any. A failed append degrades durability, not correctness: the in-memory entry
 // stays valid, and lbserve surfaces the error through /healthz instead of
 // failing the simulation that produced the result.
 func (s *Store) Err() error {
@@ -393,7 +392,7 @@ func (s *Store) Put(key string, res *sim.Result) error {
 		return s.stickyLocked(fmt.Errorf("store: appending to %s: %w", s.activeName, err))
 	}
 	if !s.opt.NoSync {
-		if err := SyncCommit(s.active); err != nil {
+		if err := syncCommit(s.active); err != nil {
 			return s.stickyLocked(fmt.Errorf("store: fsync %s: %w", s.activeName, err))
 		}
 	}
@@ -477,7 +476,7 @@ func (s *Store) Compact() error {
 			return fmt.Errorf("store: writing compacted segment: %w", err)
 		}
 	}
-	if err := SyncCommit(f); err != nil {
+	if err := syncCommit(f); err != nil {
 		f.Close() //lbvet:errok — the fsync error is the one the caller acts on; the temp file is discarded
 		return fmt.Errorf("store: fsync compacted segment: %w", err)
 	}

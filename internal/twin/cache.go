@@ -2,7 +2,6 @@ package twin
 
 import (
 	"context"
-	"sync"
 
 	"github.com/linebacker-sim/linebacker/internal/harness"
 )
@@ -13,58 +12,23 @@ import (
 // Failed calibrations are not cached — a transient failure (deadline,
 // injected fault) must not poison the benchmark forever.
 type Cache struct {
-	opt Options
-
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-}
-
-type cacheEntry struct {
-	done chan struct{}
-	m    *Model
-	err  error
+	opt    Options
+	models harness.Memo[*Model]
 }
 
 // NewCache builds an empty model cache calibrating with opt.
 func NewCache(opt Options) *Cache {
-	return &Cache{opt: opt, entries: make(map[string]*cacheEntry)}
+	return &Cache{opt: opt}
 }
 
 // Model returns the calibrated twin for bench, calibrating through r on
-// first use. All callers of an in-flight calibration share its outcome;
-// an error evicts the entry so the next caller retries.
+// first use. Callers of an in-flight calibration share its success; a
+// caller whose leader failed calibrates again under its own context.
 func (c *Cache) Model(ctx context.Context, r *harness.Runner, bench string) (*Model, error) {
-	c.mu.Lock()
-	e, ok := c.entries[bench]
-	if !ok {
-		e = &cacheEntry{done: make(chan struct{})}
-		c.entries[bench] = e
-		c.mu.Unlock()
-
-		e.m, e.err = Calibrate(ctx, r, bench, c.opt)
-		if e.err != nil {
-			c.mu.Lock()
-			if c.entries[bench] == e {
-				delete(c.entries, bench)
-			}
-			c.mu.Unlock()
-		}
-		close(e.done)
-		return e.m, e.err
-	}
-	c.mu.Unlock()
-
-	select {
-	case <-e.done:
-		return e.m, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return c.models.Do(ctx, bench, func() (*Model, error) {
+		return Calibrate(ctx, r, bench, c.opt)
+	})
 }
 
 // Len reports how many benchmarks have cached models (for stats).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) Len() int { return c.models.Len() }
