@@ -195,6 +195,7 @@ func Analyzers() []*Analyzer {
 		NoPanic,
 		NextEvent,
 		SkipClosure,
+		GateAnnounce,
 		ErrFlow,
 	}
 }

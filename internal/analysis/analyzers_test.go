@@ -127,6 +127,8 @@ func TestNextEventFixture(t *testing.T) { runFixture(t, "nextevent", NextEvent) 
 
 func TestSkipClosureFixture(t *testing.T) { runFixture(t, "skipclosure", SkipClosure) }
 
+func TestGateAnnounceFixture(t *testing.T) { runFixture(t, "gateannounce", GateAnnounce) }
+
 func TestErrFlowFixture(t *testing.T) { runFixture(t, "errflow", ErrFlow) }
 
 // TestByName covers the analyzer-subset resolver.

@@ -106,3 +106,66 @@ func TestGoldenCatchesMetricDrift(t *testing.T) {
 		t.Fatalf("self-comparison diverged: %v", diffs)
 	}
 }
+
+// pulseGatePolicy gates every CTA off in alternating spans of period
+// cycles. With announce unset it flips the gate without telling the SM —
+// the mistake a hand-written policy can make.
+type pulseGatePolicy struct {
+	period   int64
+	announce bool
+}
+
+func (p pulseGatePolicy) Name() string { return "PulseGate" }
+func (p pulseGatePolicy) Attach(sm *sim.SM) sim.SMPolicy {
+	return &pulseGateState{sm: sm, period: p.period, announce: p.announce, on: true}
+}
+
+type pulseGateState struct {
+	sim.BasePolicy
+	sm       *sim.SM
+	period   int64
+	announce bool
+	on       bool
+}
+
+func (s *pulseGateState) CTAActive(int) bool { return s.on }
+
+func (s *pulseGateState) OnCycle(cycle int64) {
+	if on := (cycle/s.period)%2 == 0; on != s.on {
+		s.on = on
+		if s.announce {
+			s.sm.GatesChanged()
+		}
+	}
+}
+
+// NextEvent pins every cycle: the test runs strict anyway.
+func (s *pulseGateState) NextEvent(now int64) (int64, bool) { return now, true }
+
+// TestUnannouncedGateCaught: a policy that flips its issue gate without
+// SM.GatesChanged is flagged by the gate-cache rule, while the same policy
+// announcing its flips passes every rule.
+func TestUnannouncedGateCaught(t *testing.T) {
+	run := func(announce bool) *Checker {
+		b, _ := workload.ByName("S2")
+		cfg := testConfig()
+		cfg.Strict = true
+		g, err := sim.New(cfg, b.Kernel, pulseGatePolicy{period: 500, announce: announce})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Attach(g, Collect())
+		g.Run(5_000)
+		return c
+	}
+	if vs := run(true).Violations(); len(vs) != 0 {
+		t.Fatalf("announced gate flips flagged %d violations: %v", len(vs), vs[0])
+	}
+	vs := run(false).Violations()
+	if len(vs) == 0 {
+		t.Fatal("unannounced gate flips went undetected")
+	}
+	if vs[0].Rule != "gate-cache" {
+		t.Fatalf("caught by rule %q, want gate-cache: %v", vs[0].Rule, vs[0])
+	}
+}

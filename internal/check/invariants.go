@@ -20,6 +20,7 @@ func EngineRules() []Rule {
 		{Name: "inflight-conservation", Check: checkInflight},
 		{Name: "l2-mshr", Check: checkL2MSHR},
 		{Name: "policy-invariants", Check: checkPolicies},
+		{Name: "gate-cache", Check: checkGateCache},
 	}
 }
 
@@ -149,6 +150,19 @@ func checkL2MSHR(g *sim.GPU) error {
 	}
 	if waited := g.L2WaiterLines(); waited > g.L2().OutstandingFills() {
 		return fmt.Errorf("%d L2-waited lines exceed %d outstanding fills", waited, g.L2().OutstandingFills())
+	}
+	return nil
+}
+
+// checkGateCache verifies that every SM's cached issue gates equal the
+// policy's live CTAActive/WarpActive answers. A policy that changes a gate
+// without announcing it through SM.GatesChanged fails here, instead of
+// quietly issuing under the old gates.
+func checkGateCache(g *sim.GPU) error {
+	for _, sm := range g.SMs() {
+		if err := sm.GateCacheErr(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -192,6 +192,13 @@ func (s *SMState) recomputePartitions() {
 // CTAActive implements sim.SMPolicy: only running CTAs issue.
 func (s *SMState) CTAActive(slot int) bool { return s.slotStates[slot] == slotRunning }
 
+// setSlotState moves a CTA slot to a new state and announces the change to
+// the SM, whose cached issue gates read slotStates through CTAActive.
+func (s *SMState) setSlotState(slot int, st slotState) {
+	s.slotStates[slot] = st
+	s.sm.GatesChanged()
+}
+
 // AllowNewCTA implements sim.SMPolicy: inactive CTAs are re-scheduled in
 // priority over new launches, and launches stop while throttled below the
 // residency limit.
@@ -286,7 +293,7 @@ func (s *SMState) OnStore(line memtypes.LineAddr, cycle int64) {
 // OnCTALaunch implements sim.SMPolicy.
 func (s *SMState) OnCTALaunch(slot, seq int, cycle int64) {
 	s.ctaMgrAccesses++
-	s.slotStates[slot] = slotRunning
+	s.setSlotState(slot, slotRunning)
 	s.recomputePartitions()
 }
 
@@ -294,7 +301,7 @@ func (s *SMState) OnCTALaunch(slot, seq int, cycle int64) {
 // priority when an active CTA finishes.
 func (s *SMState) OnCTAComplete(slot int, cycle int64) {
 	s.ctaMgrAccesses++
-	s.slotStates[slot] = slotRunning // empty slot defaults to runnable
+	s.setSlotState(slot, slotRunning) // empty slot defaults to runnable
 	s.recomputePartitions()
 	if s.opts.Throttling && s.phase == phaseActive &&
 		len(s.inactiveStack) > 0 && s.trans == nil && s.activeCount() < s.targetActive {
@@ -542,14 +549,18 @@ func (s *SMState) activate(selected map[uint32]bool, cycle int64) {
 }
 
 // startThrottle deactivates the active CTA with the largest slot index and
-// begins backing up its registers.
+// begins backing up its registers. A CTA whose warps have all issued their
+// last instruction is passed over: it completes as soon as its loads land,
+// which would retire it in the middle of the backup (or while inactive)
+// and leave the transfer pointing at an empty slot. A CTA with a warp
+// still to issue cannot complete while it is gated off.
 func (s *SMState) startThrottle(cycle int64) {
 	if s.trans != nil {
 		return
 	}
 	slot := -1
 	for i := s.sm.MaxResident() - 1; i >= 0; i-- {
-		if s.sm.CTA(i).Resident && s.slotStates[i] == slotRunning {
+		if s.sm.CTA(i).Resident && s.slotStates[i] == slotRunning && s.sm.CTAIssuing(i) {
 			slot = i
 			break
 		}
@@ -558,7 +569,7 @@ func (s *SMState) startThrottle(cycle int64) {
 		return
 	}
 	info := s.sm.CTA(slot)
-	s.slotStates[slot] = slotBackingUp
+	s.setSlotState(slot, slotBackingUp)
 	s.targetActive = s.activeCount()
 	s.trans = &transit{slot: slot, firstRN: info.FirstRN, count: info.RegCount}
 	s.throttleEvents++
@@ -569,7 +580,7 @@ func (s *SMState) startThrottle(cycle int64) {
 // finishBackup marks the CTA inactive (C=1), releases its register space
 // and extends the victim cache.
 func (s *SMState) finishBackup(t *transit, cycle int64) {
-	s.slotStates[t.slot] = slotInactive
+	s.setSlotState(t.slot, slotInactive)
 	s.inactiveStack = append(s.inactiveStack, t.slot)
 	s.sm.ReleaseCTARegs(t.slot)
 	s.recomputePartitions()
@@ -592,7 +603,7 @@ func (s *SMState) startRestore(cycle int64) {
 		s.inactiveStack = append(s.inactiveStack, slot)
 		return
 	}
-	s.slotStates[slot] = slotRestoring
+	s.setSlotState(slot, slotRestoring)
 	s.recomputePartitions() // shrink victim space before overwriting
 	s.targetActive = s.activeCount() + 1
 	s.trans = &transit{slot: slot, firstRN: first, count: info.RegCount, restore: true}
@@ -603,7 +614,7 @@ func (s *SMState) startRestore(cycle int64) {
 
 // finishRestore resumes the CTA.
 func (s *SMState) finishRestore(t *transit, cycle int64) {
-	s.slotStates[t.slot] = slotRunning
+	s.setSlotState(t.slot, slotRunning)
 	s.ctaMgrAccesses++
 }
 

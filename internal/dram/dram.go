@@ -8,6 +8,8 @@
 package dram
 
 import (
+	"math"
+
 	"github.com/linebacker-sim/linebacker/internal/config"
 	"github.com/linebacker-sim/linebacker/internal/memtypes"
 )
@@ -122,6 +124,14 @@ type DRAM struct {
 	queues [][]qent
 	heads  []int
 
+	// chWake[ch] bounds a failed schedule: the last window scan of channel
+	// ch found no ready bank, and the earliest bank in its window is ready
+	// at chWake[ch], so schedule returns false without scanning before
+	// then. Exact because a channel's bank readyAt values change only when
+	// that channel schedules, and its window only when it dequeues or an
+	// Enqueue lands inside it — which resets the bound to 0.
+	chWake []int64
+
 	bytesPerCycle float64
 	tokens        float64
 	maxTokens     float64
@@ -149,6 +159,7 @@ func New(g *config.GPU) *DRAM {
 		banks:         make([]bank, g.DRAMChannels*g.DRAMBanksPerChan),
 		queues:        make([][]qent, g.DRAMChannels),
 		heads:         make([]int, g.DRAMChannels),
+		chWake:        make([]int64, g.DRAMChannels),
 		bytesPerCycle: g.BytesPerCycle(),
 	}
 	d.maxTokens = d.bytesPerCycle * 4 // small burst window
@@ -173,7 +184,15 @@ func (d *DRAM) bankOf(l memtypes.LineAddr) (ch, bk int, row int64) {
 func (d *DRAM) Enqueue(req *memtypes.Request) {
 	ch, bk, row := d.bankOf(req.Line)
 	d.queues[ch] = append(d.queues[ch], qent{req: req, bank: ch*d.perChan + bk, row: row})
+	if len(d.queues[ch])-d.heads[ch] <= schedWindow {
+		d.chWake[ch] = 0
+	}
 }
+
+// schedWindow is how many of a channel's oldest queued requests the
+// FR-FCFS scheduler inspects per cycle (a real controller's transaction
+// queue is finite); it also bounds the per-cycle scan under congestion.
+const schedWindow = 16
 
 // waiting returns channel ch's live FIFO (oldest first).
 func (d *DRAM) waiting(ch int) []qent { return d.queues[ch][d.heads[ch]:] }
@@ -297,10 +316,7 @@ func (d *DRAM) NextEvent(now int64) (int64, bool) {
 				if len(q) == 0 {
 					continue
 				}
-				window := len(q)
-				if window > 16 {
-					window = 16
-				}
+				window := min(len(q), schedWindow)
 				bankReady := int64(-1)
 				for _, e := range q[:window] {
 					if r := d.banks[e.bank].readyAt; bankReady < 0 || r < bankReady {
@@ -381,22 +397,18 @@ func (d *DRAM) Tick(cycle int64) []*memtypes.Request {
 // bus is shared), preferring the oldest row hit (FR-FCFS-lite); true if it
 // issued one. It mutates queue, bank and heap state only when it issues,
 // and NextEvent advertises the first cycle any channel can issue — across
-// a skipped span every schedule call would have returned false having
-// written nothing, so Skip owes none of these writes.
+// a skipped span every schedule call would have returned false, so Skip
+// owes none of these writes. A failed scan writes only the chWake bound,
+// a cache of bank state: a skipped span leaves it older and lower, which
+// costs one full scan and changes no result.
 //
 //lbvet:eventbound
 func (d *DRAM) schedule(ch int, cycle int64) bool {
 	q := d.waiting(ch)
-	if len(q) == 0 || d.tokens < memtypes.LineSize {
+	if len(q) == 0 || d.tokens < memtypes.LineSize || cycle < d.chWake[ch] {
 		return false
 	}
-	// The scheduler inspects a bounded window of the queue head (a real
-	// controller's transaction queue is finite); this also bounds the
-	// per-cycle cost under heavy congestion.
-	window := len(q)
-	if window > 16 {
-		window = 16
-	}
+	window := min(len(q), schedWindow)
 	pick := -1
 	// First pass: oldest row hit on a ready bank.
 	for i := range q[:window] {
@@ -408,16 +420,21 @@ func (d *DRAM) schedule(ch int, cycle int64) bool {
 		}
 	}
 	if pick < 0 {
-		// Second pass: oldest request on a ready bank.
+		// Second pass: oldest request on a ready bank, gathering the
+		// window's earliest bank-ready cycle in case there is none.
+		wake := int64(math.MaxInt64)
 		for i := range q[:window] {
-			if d.banks[q[i].bank].readyAt <= cycle {
+			r := d.banks[q[i].bank].readyAt
+			if r <= cycle {
 				pick = i
 				break
 			}
+			wake = min(wake, r)
 		}
-	}
-	if pick < 0 {
-		return false
+		if pick < 0 {
+			d.chWake[ch] = wake
+			return false
+		}
 	}
 	req, row := q[pick].req, q[pick].row
 	b := &d.banks[q[pick].bank]

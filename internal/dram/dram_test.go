@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -132,5 +133,51 @@ func TestChannelMapping(t *testing.T) {
 	}
 	if len(seen) != d.channels {
 		t.Fatalf("sequential lines touch %d/%d channels", len(seen), d.channels)
+	}
+}
+
+// TestChannelWakeSkipsOnlyIdleScans drives random enqueue/tick sequences
+// on the fast and Table 1 geometries. Whenever the per-channel wake bound
+// would short-circuit a schedule call on a non-empty queue, a full scan of
+// the channel's window must find no ready bank.
+func TestChannelWakeSkipsOnlyIdleScans(t *testing.T) {
+	fast := config.Default()
+	fast.GPU.DRAMBandwidthGBs = 176.25
+	fast.GPU.DRAMChannels = 4
+	geoms := map[string]config.GPU{"fast": fast.GPU, "table1": config.Default().GPU}
+	for _, name := range []string{"fast", "table1"} {
+		g := geoms[name]
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			d := New(&g)
+			short := 0
+			for cyc := int64(0); cyc < 20_000; cyc++ {
+				// Bursty arrivals over a few rows, so banks conflict and
+				// windows fill past the 16-entry limit.
+				if rng.Intn(4) == 0 {
+					for n := rng.Intn(8); n > 0; n-- {
+						line := memtypes.LineAddr(uint64(rng.Intn(1<<14)) * memtypes.LineSize)
+						d.Enqueue(&memtypes.Request{Line: line, Kind: memtypes.Kind(rng.Intn(2))})
+					}
+				}
+				for ch := range d.queues {
+					q := d.waiting(ch)
+					if len(q) == 0 || cyc >= d.chWake[ch] {
+						continue
+					}
+					short++
+					for _, e := range q[:min(len(q), schedWindow)] {
+						if d.banks[e.bank].readyAt <= cyc {
+							t.Fatalf("%s seed %d cycle %d: channel %d skipped its scan (wake %d) but bank %d is ready at %d",
+								name, seed, cyc, ch, d.chWake[ch], e.bank, d.banks[e.bank].readyAt)
+						}
+					}
+				}
+				d.Tick(cyc)
+			}
+			if short == 0 {
+				t.Fatalf("%s seed %d: the wake bound never short-circuited a scan", name, seed)
+			}
+		}
 	}
 }

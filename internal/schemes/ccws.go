@@ -215,6 +215,7 @@ func (s *ccwsState) rank(cycle int64) {
 	for i, w := range idx {
 		s.active[w] = i >= desched
 	}
+	s.sm.GatesChanged()
 }
 
 // ExtraStats implements sim.ExtraStatser.

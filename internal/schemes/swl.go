@@ -65,6 +65,7 @@ func (s *swlState) rebuild() {
 		}
 		s.active[slot] = rank < s.limit
 	}
+	s.sm.GatesChanged()
 }
 
 // CTAActive allows the `limit` oldest resident CTAs to run.

@@ -65,10 +65,12 @@ func mergeEvent(best int64, any bool, c int64, ok bool, now int64) (int64, bool)
 //     sets; they wake through handleResponse, which is the response link's
 //     event, not the SM's.
 //   - Policy gates (CTAActive/WarpActive) are pure functions of policy
-//     state, and policy state only changes in hooks that run during ticked
-//     cycles — so a warp gated off now stays gated for the whole skipped
-//     span. Future-ready warps are counted without consulting gates: that
-//     is conservative (at worst one spurious tick), never unsafe.
+//     state, cached per warp in the schedulers' open bits and refreshed
+//     after every announced change (SM.GatesChanged). Policy state only
+//     changes in hooks that run during ticked cycles — so a warp gated off
+//     now stays gated for the whole skipped span. Future-ready warps are
+//     counted whatever their gate bit says: that is conservative (at worst
+//     one spurious tick), never unsafe.
 func (sm *SM) NextEvent(now int64) (int64, bool) {
 	if len(sm.held) > 0 {
 		return now, true

@@ -120,17 +120,27 @@ func eventFingerprint(g *GPU) uint64 {
 type pulsePolicy struct{ period int64 }
 
 func (p pulsePolicy) Name() string           { return "pulse" }
-func (p pulsePolicy) Attach(sm *SM) SMPolicy { return &pulseState{period: p.period} }
+func (p pulsePolicy) Attach(sm *SM) SMPolicy { return &pulseState{sm: sm, period: p.period} }
 
 type pulseState struct {
 	BasePolicy
+	sm     *SM
 	period int64
 	on     bool
 }
 
 func (s *pulseState) CTAActive(int) bool { return s.on }
+
+// setOn flips the gate and announces it, as every gating policy must.
+func (s *pulseState) setOn(on bool) {
+	if on != s.on {
+		s.on = on
+		s.sm.GatesChanged()
+	}
+}
+
 func (s *pulseState) OnCycle(cycle int64) {
-	s.on = (cycle/s.period)%2 == 0
+	s.setOn((cycle/s.period)%2 == 0)
 }
 func (s *pulseState) NextEvent(now int64) (int64, bool) {
 	// The phase flips during OnCycle of every multiple of period, so the
@@ -143,7 +153,7 @@ func (s *pulseState) SkipCycles(from, to int64) {
 	// on is a pure function of the last OnCycle's cycle; replay the final
 	// skipped cycle's decision so a skipping run lands in the same phase.
 	if to > from {
-		s.on = ((to-1)/s.period)%2 == 0
+		s.setOn(((to-1)/s.period)%2 == 0)
 	}
 }
 

@@ -21,3 +21,23 @@ func (sm *SM) LongestSchedOrder() int {
 
 // NewPulsePolicy returns event_test.go's adversarial pulse policy.
 func NewPulsePolicy(period int64) Policy { return pulsePolicy{period: period} }
+
+// NewMutePulsePolicy returns the pulse policy with its GatesChanged calls
+// left out: its gate flips are never announced to the SM.
+func NewMutePulsePolicy(period int64) Policy { return mutePulsePolicy{period: period} }
+
+type mutePulsePolicy struct{ period int64 }
+
+func (p mutePulsePolicy) Name() string { return "mute-pulse" }
+func (p mutePulsePolicy) Attach(sm *SM) SMPolicy {
+	return &mutePulse{pulseState{sm: sm, period: p.period}}
+}
+
+type mutePulse struct{ pulseState }
+
+func (s *mutePulse) OnCycle(cycle int64) { s.on = (cycle/s.period)%2 == 0 }
+func (s *mutePulse) SkipCycles(from, to int64) {
+	if to > from {
+		s.on = ((to-1)/s.period)%2 == 0
+	}
+}

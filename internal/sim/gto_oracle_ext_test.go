@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/linebacker-sim/linebacker/internal/config"
@@ -86,10 +87,12 @@ func oracleCase(rng *rand.Rand, forceWide bool) (config.Config, *workload.Kernel
 
 // TestGTOPickerOracle runs seeded random machines under every gating
 // policy family — none (Baseline), CTA throttling (SWL, Linebacker), warp
-// throttling (CCWS) and the adversarial pulse policy — and, on every
-// ticked cycle, requires the runnable-set picker to agree with the linear
-// GTO scan on the picked warp and, when nothing is picked, on the next
-// wake cycle.
+// throttling (CCWS), the adversarial pulse policy and two Figure 15
+// stacks whose members announce gate changes through the shared SM — and,
+// on every ticked cycle, requires the runnable-set picker to agree with
+// the linear GTO scan on the picked warp and, when nothing is picked, on
+// the next wake cycle, with the gate bits and idle bounds checked against
+// their definitions.
 func TestGTOPickerOracle(t *testing.T) {
 	pols := []struct {
 		name string
@@ -100,6 +103,8 @@ func TestGTOPickerOracle(t *testing.T) {
 		{"ccws", func() sim.Policy { return schemes.CCWS{} }},
 		{"linebacker", func() sim.Policy { return core.New() }},
 		{"pulse", func() sim.Policy { return sim.NewPulsePolicy(1500) }},
+		{"lb+cacheext", func() sim.Policy { return schemes.Combine("LB+CacheExt", schemes.CacheExt{}, core.New()) }},
+		{"pcal+cerf", func() sim.Policy { return schemes.Combine("PCAL+CERF", schemes.CERF{}, schemes.PCAL{}) }},
 	}
 	cases, cycles := 4, int64(20_000)
 	if testing.Short() {
@@ -131,5 +136,26 @@ func TestGTOPickerOracle(t *testing.T) {
 	}
 	if longest <= 64 {
 		t.Errorf("no scheduler held more than %d live warps; the multi-word runnable set went unchecked", longest)
+	}
+}
+
+// TestUnannouncedGateFailsOracle is the negative case: a pulse policy that
+// flips its gate without calling GatesChanged leaves the SM issuing under
+// stale gate bits, and the oracle must say so.
+func TestUnannouncedGateFailsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cfg, k, desc := oracleCase(rng, true)
+	g, err := sim.New(cfg, k, sim.NewMutePulsePolicy(500))
+	if err != nil {
+		t.Fatalf("%s: %v", desc, err)
+	}
+	o := &pickerOracle{}
+	g.SetFaultInjector(o)
+	g.Run(8_000)
+	if o.err == nil {
+		t.Fatalf("%s: %d checked cycles and the unannounced gate flips went unnoticed", desc, o.checks)
+	}
+	if !strings.Contains(o.err.Error(), "without GatesChanged") {
+		t.Fatalf("%s: oracle failed for another reason: %v", desc, o.err)
 	}
 }

@@ -105,10 +105,23 @@ func (sm *SM) runnableErr() error {
 
 // checkPickers compares the runnable-set picker with the linear oracle on
 // every scheduler of the SM at the cycle: same warp, and on failure the
-// same future wake cycle; with and without the greedy check.
+// same future wake cycle; with and without the greedy check. It also
+// checks the caches the picker trusts: the gate bits against the live
+// policy gates, and each scheduler's idle bound — while cycle < idleUntil
+// the linear scan must find no warp and no wake cycle before the bound.
 func (sm *SM) checkPickers(cycle int64) error {
 	if err := sm.runnableErr(); err != nil {
 		return err
+	}
+	if err := sm.GateCacheErr(); err != nil {
+		return err
+	}
+	for s := range sm.scheds {
+		if until := sm.scheds[s].idleUntil; cycle < until {
+			if w, f := sm.linearPickWarp(s, cycle, true); w >= 0 || f < until {
+				return fmt.Errorf("SM%d sched %d cycle %d: idle until %d, but the linear scan = (%d, %d)", sm.id, s, cycle, until, w, f)
+			}
+		}
 	}
 	for s := range sm.scheds {
 		w, f := sm.pickWarp(s, cycle)

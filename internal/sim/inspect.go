@@ -98,6 +98,33 @@ func (sm *SM) SumMemPending() int {
 	return n
 }
 
+// GateCacheErr reports where the SM's cached gate bits disagree with the
+// policy's live CTAActive/WarpActive answers, or nil. Bits marked stale
+// (a change was announced and the next pick recomputes them) are not
+// compared. A disagreement means the policy changed a gate without calling
+// GatesChanged, so the schedulers issue under stale gates.
+func (sm *SM) GateCacheErr() error {
+	if sm.gatesStale {
+		return nil
+	}
+	for s := range sm.scheds {
+		sc := &sm.scheds[s]
+		for r, i := range sc.order {
+			got := sc.open[r>>6]>>(r&63)&1 == 1
+			if want := sm.pol.CTAActive(sm.warps[i].CTASlot) && sm.pol.WarpActive(i); got != want {
+				return fmt.Errorf("SM%d sched %d: cached gate of warp %d (CTA slot %d) = %v, policy says %v: a gate changed without GatesChanged",
+					sm.id, s, i, sm.warps[i].CTASlot, got, want)
+			}
+		}
+		for r := len(sc.order); r < len(sc.open)*64; r++ {
+			if sc.open[r>>6]>>(r&63)&1 == 1 {
+				return fmt.Errorf("SM%d sched %d: gate bit %d set past the order (len %d)", sm.id, s, r, len(sc.order))
+			}
+		}
+	}
+	return nil
+}
+
 // StateDump renders a deterministic one-look diagnostic snapshot of the
 // machine's in-flight state: where every queue stands and what each SM has
 // committed. Harness RunErrors attach it so a watchdog abort or recovered

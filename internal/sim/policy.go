@@ -23,14 +23,25 @@ type Policy interface {
 // SMPolicy is the per-SM half of a Policy. The engine calls these hooks on
 // the simulation fast path; implementations must not retain the cycle
 // argument across calls.
+//
+// The issue gates are announced, not polled: the SM caches every warp's
+// CTAActive && WarpActive answer and asks again only after the policy
+// calls SM.GatesChanged on the SM it was attached to. A policy must call
+// it after every write to state its gate methods read, in whatever hook
+// the write happens (Attach may skip it: no warp is resident yet, and
+// every CTA launch marks the cache stale). A missed call leaves the schedulers issuing under stale gates;
+// the runtime checker's gate-cache rule (Config.Check) and lbvet's
+// gateannounce analyzer both report it. See DESIGN.md §10.
 type SMPolicy interface {
 	// CTAActive reports whether the CTA in the given slot may issue
-	// instructions this cycle (false = throttled).
+	// instructions (false = throttled). It must be a pure read of policy
+	// state whose every change is announced through SM.GatesChanged.
 	CTAActive(slot int) bool
 
-	// WarpActive reports whether the individual warp slot may issue this
-	// cycle. CCWS-style schemes throttle at warp rather than CTA
-	// granularity through this hook.
+	// WarpActive reports whether the individual warp slot may issue.
+	// CCWS-style schemes throttle at warp rather than CTA granularity
+	// through this hook. The same announcement contract as CTAActive
+	// applies.
 	WarpActive(warpSlot int) bool
 
 	// AllowNewCTA gates the dispatcher: return false to keep a freed CTA

@@ -86,11 +86,14 @@ type SM struct {
 	warpsPerCTA int
 
 	// GTO scheduler state: the last warp each scheduler issued from, and
-	// each scheduler's age order and runnable set. ageSlots is scratch for
-	// rebuildOrder.
+	// each scheduler's age order, runnable set, gate bits and idle bound.
+	// ageSlots is scratch for rebuildOrder. gatesStale marks every
+	// scheduler's open bits as out of date (set by rebuildOrder and
+	// GatesChanged, cleared by the next refreshGates).
 	lastIssued []int
 	scheds     []gtoSched
 	ageSlots   []int
+	gatesStale bool
 
 	lsu      ring.Buffer[lsuOp]
 	lsuWidth int
@@ -185,6 +188,7 @@ func newSM(id int, cfg *config.Config, k *workload.Kernel, toL2 *icnt.Link, pool
 	for s := range sm.scheds {
 		sm.scheds[s].order = make([]int, 0, perSched)
 		sm.scheds[s].runnable = make([]uint64, (perSched+63)/64)
+		sm.scheds[s].open = make([]uint64, (perSched+63)/64)
 	}
 	sm.ageSlots = make([]int, 0, sm.maxResidentCTAs)
 	sm.ctas = make([]CTASlotInfo, sm.maxResidentCTAs)
@@ -237,15 +241,19 @@ func (sm *SM) MaxResident() int { return sm.maxResidentCTAs }
 // CTA returns the slot info (copy).
 func (sm *SM) CTA(slot int) CTASlotInfo { return sm.ctas[slot] }
 
-// ResidentCTAs counts resident CTAs.
-func (sm *SM) ResidentCTAs() int {
-	n := 0
-	for i := range sm.ctas {
-		if sm.ctas[i].Resident {
-			n++
+// ResidentCTAs counts resident CTAs: every slot that is not free.
+func (sm *SM) ResidentCTAs() int { return sm.maxResidentCTAs - sm.freeSlots }
+
+// CTAIssuing reports whether any warp of the CTA in the slot still has
+// instructions to issue. A resident CTA without one is only waiting for
+// its last loads to land, and completes without issuing again.
+func (sm *SM) CTAIssuing(slot int) bool {
+	for _, w := range sm.warps[slot*sm.warpsPerCTA : (slot+1)*sm.warpsPerCTA] {
+		if w.Alive {
+			return true
 		}
 	}
-	return n
+	return false
 }
 
 // Retired returns cumulative retired warp instructions.
@@ -370,12 +378,7 @@ func (sm *SM) completeCTA(slot int, cycle int64) {
 
 // Busy reports whether any CTA is resident or memory work is in flight.
 func (sm *SM) Busy() bool {
-	for i := range sm.ctas {
-		if sm.ctas[i].Resident {
-			return true
-		}
-	}
-	return sm.lsu.Len() > 0 || sm.waiters.Len() > 0
+	return sm.freeSlots < sm.maxResidentCTAs || sm.lsu.Len() > 0 || sm.waiters.Len() > 0
 }
 
 // --- per-cycle pipeline ---
@@ -396,19 +399,25 @@ func (sm *SM) tick(cycle int64) bool {
 
 // issue runs the GTO warp schedulers; true if any of them issued. When no
 // scheduler issues, every scheduler performed a full scan of its warp
-// partition, and the merged future-ready minimum is cached in scanWake —
-// the per-SM sleeper (event.go) reads it instead of re-scanning.
+// partition (or holds the bound of one, see idleUntil), and the merged
+// future-ready minimum is cached in scanWake — the per-SM sleeper
+// (event.go) reads it instead of re-scanning.
 func (sm *SM) issue(cycle int64) bool {
 	ns := sm.cfg.GPU.NumSchedulers
 	issued := false
 	future := neverWake
 	for s := 0; s < ns; s++ {
+		sc := &sm.scheds[s]
+		if cycle < sc.idleUntil {
+			sm.Stats.IssueIdle++
+			future = min(future, sc.idleUntil)
+			continue
+		}
 		w, f := sm.pickWarp(s, cycle)
 		if w < 0 {
 			sm.Stats.IssueIdle++
-			if f < future {
-				future = f
-			}
+			sc.idleUntil = f
+			future = min(future, f)
 			continue
 		}
 		issued = true
@@ -424,10 +433,14 @@ func (sm *SM) issue(cycle int64) bool {
 // under-MLP warps that are not ready yet (neverWake if none) — gathered
 // for free during the failed scan; meaningful only when no warp is picked.
 func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
-	// Greedy: stick with the last issued warp while it remains ready.
+	if sm.gatesStale {
+		sm.refreshGates()
+	}
+	// Greedy: stick with the last issued warp while it remains ready. A
+	// ready warp is alive, so it holds a rank in this scheduler's order.
 	if last := sm.lastIssued[sched]; last >= 0 {
 		w := &sm.warps[last]
-		if w.ready(cycle, sm.cfg.GPU.MaxWarpMLP) && sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(last) {
+		if w.ready(cycle, sm.cfg.GPU.MaxWarpMLP) && sm.scheds[sched].open[w.rank>>6]>>(w.rank&63)&1 == 1 {
 			return last, 0
 		}
 	}
@@ -435,29 +448,39 @@ func (sm *SM) pickWarp(sched int, cycle int64) (int, int64) {
 }
 
 // oldestReady walks the scheduler's runnable set oldest-first and returns
-// the first warp that is ready at the cycle and passes the policy gates:
-// the smallest (CTA seq, warp idx) among eligible warps, because the walk
-// is in age order. Gates are consulted only for ready warps, as the fused
-// ready-and-gated check always did. When no warp qualifies it returns -1
-// and the earliest readyAt among the runnable warps not ready yet
-// (neverWake if none): every runnable warp was visited, and warps outside
-// the set (dead, or at the MLP limit) wake only through finishLoad.
+// the first warp that is ready at the cycle and whose gate bit is open:
+// the smallest (CTA seq, warp idx) among eligible warps, because each
+// word is walked in age order and its open warps come first. When no warp
+// qualifies it returns -1 and the earliest readyAt among the runnable
+// warps not ready yet, whatever their gates say (neverWake if none): every
+// runnable warp was visited, and warps outside the set (dead, or at the
+// MLP limit) wake only through finishLoad.
 func (sm *SM) oldestReady(sched int, cycle int64) (int, int64) {
+	if sm.gatesStale {
+		sm.refreshGates()
+	}
 	sc := &sm.scheds[sched]
 	future := neverWake
 	for wi, word := range sc.runnable {
-		for word != 0 {
-			i := sc.order[wi<<6|bits.TrailingZeros64(word)]
-			word &= word - 1
-			w := &sm.warps[i]
-			if w.readyAt > cycle {
-				if w.readyAt < future {
-					future = w.readyAt
-				}
+		// Open warps first: the oldest ready one is the pick. A word's
+		// ranks are all older than the next word's, so finishing one word
+		// before the next keeps the walk in age order.
+		open, gated := word&sc.open[wi], word&^sc.open[wi]
+		for open != 0 {
+			i := sc.order[wi<<6|bits.TrailingZeros64(open)]
+			open &= open - 1
+			if r := sm.warps[i].readyAt; r > cycle {
+				future = min(future, r)
 				continue
 			}
-			if sm.pol.CTAActive(w.CTASlot) && sm.pol.WarpActive(i) {
-				return i, future
+			return i, future
+		}
+		// Gated warps can only contribute their wake cycle.
+		for gated != 0 {
+			i := sc.order[wi<<6|bits.TrailingZeros64(gated)]
+			gated &= gated - 1
+			if r := sm.warps[i].readyAt; r > cycle {
+				future = min(future, r)
 			}
 		}
 	}
@@ -471,18 +494,67 @@ func (sm *SM) oldestReady(sched int, cycle int64) (int, int64) {
 // set is a cache of that pure predicate (DESIGN.md §10): rebuildOrder
 // recomputes it wholesale, and syncRunnable refreshes one bit wherever
 // memPending changes.
+//
+// Bit r of open caches the policy gates of warps[order[r]]:
+// CTAActive(slot) && WarpActive(i). Policies announce every change to the
+// state their gates read through SM.GatesChanged, and the next pick
+// recomputes the bits (refreshGates) instead of every pick polling two
+// interface methods per warp.
+//
+// idleUntil bounds a failed pick: the scheduler's last pick found no
+// eligible warp, and the earliest not-ready runnable warp becomes ready at
+// idleUntil, so every pick before that cycle fails too, with the same wake
+// cycle.
+// The bound is exact because only execute lowers a readyAt, and execute
+// runs only after a successful pick on the same scheduler; every other
+// input of the pick resets it to 0 — the runnable set (syncRunnable,
+// rebuildOrder) and the gates (GatesChanged).
 type gtoSched struct {
-	order    []int
-	runnable []uint64
+	order     []int
+	runnable  []uint64
+	open      []uint64
+	idleUntil int64
+}
+
+// GatesChanged announces that the policy changed state its CTAActive or
+// WarpActive answers read. The SM recomputes its cached gate bits on the
+// next pick, and every scheduler's idle bound is dropped. Policies must
+// call it after every such write, in whatever hook it happens (in Attach
+// it is optional: no warp is resident yet, and every CTA launch marks the
+// bits stale); a missed call leaves the schedulers issuing under stale
+// gates, which the runtime checker's gate-cache rule and lbvet's
+// gateannounce analyzer both catch.
+func (sm *SM) GatesChanged() {
+	sm.gatesStale = true
+	for s := range sm.scheds {
+		sm.scheds[s].idleUntil = 0
+	}
+}
+
+// refreshGates recomputes every scheduler's open bits from the live
+// policy gates.
+func (sm *SM) refreshGates() {
+	sm.gatesStale = false
+	for s := range sm.scheds {
+		sc := &sm.scheds[s]
+		clear(sc.open)
+		for r, i := range sc.order {
+			if sm.pol.CTAActive(sm.warps[i].CTASlot) && sm.pol.WarpActive(i) {
+				sc.open[r>>6] |= 1 << (r & 63)
+			}
+		}
+	}
 }
 
 // rebuildOrder recomputes every scheduler's age order, the warps' ranks and
-// the runnable bits from scratch. It runs when the set of live warps
-// changes: on a CTA launch and on a warp's death. Every rank is reset
-// first, so a warp that left the order (dead, possibly with loads still in
-// flight) holds -1 and its late finishLoad cannot touch a bit that now
-// belongs to another warp.
+// the runnable bits from scratch, and marks the gate bits stale (the ranks
+// they are indexed by moved). It runs when the set of live warps changes:
+// on a CTA launch and on a warp's death. Every rank is reset first, so a
+// warp that left the order (dead, possibly with loads still in flight)
+// holds -1 and its late finishLoad cannot touch a bit that now belongs to
+// another warp.
 func (sm *SM) rebuildOrder() {
+	sm.GatesChanged()
 	for s := range sm.scheds {
 		sc := &sm.scheds[s]
 		sc.order = sc.order[:0]
@@ -521,13 +593,14 @@ func (sm *SM) rebuildOrder() {
 }
 
 // syncRunnable sets the warp's runnable bit to the predicate it caches:
-// Alive && memPending < MaxWarpMLP. A warp outside the order (rank -1) has
-// no bit.
+// Alive && memPending < MaxWarpMLP, and drops its scheduler's idle bound.
+// A warp outside the order (rank -1) has no bit.
 func (sm *SM) syncRunnable(w *Warp) {
 	if w.rank < 0 {
 		return
 	}
 	sc := &sm.scheds[warpIndex(sm, w)%len(sm.scheds)]
+	sc.idleUntil = 0
 	word, bit := &sc.runnable[w.rank>>6], uint64(1)<<(w.rank&63)
 	if w.Alive && w.memPending < sm.cfg.GPU.MaxWarpMLP {
 		*word |= bit

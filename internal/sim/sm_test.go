@@ -139,3 +139,39 @@ func TestEveryFieldSkipsIterations(t *testing.T) {
 		t.Fatalf("load requests = %d, want %d", got, want)
 	}
 }
+
+// TestResidentCTAsCountsSlots checks the O(1) ResidentCTAs against a count
+// of resident slots on every cycle of a run whose CTAs launch, complete
+// and relaunch into freed slots.
+func TestResidentCTAsCountsSlots(t *testing.T) {
+	cfg := testConfig()
+	g, err := New(cfg, tinyKernel(6, 64), Baseline{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !g.done() && g.Cycle() < 1_000_000 {
+		g.Step()
+		for _, sm := range g.sms {
+			n := 0
+			for slot := range sm.ctas {
+				if sm.ctas[slot].Resident {
+					n++
+				}
+			}
+			if got := sm.ResidentCTAs(); got != n {
+				t.Fatalf("cycle %d SM%d: ResidentCTAs = %d, %d slots resident", g.Cycle(), sm.id, got, n)
+			}
+		}
+	}
+	var launches, done int64
+	for _, sm := range g.sms {
+		launches += sm.Stats.CTALaunches
+		done += sm.Stats.CTADone
+		if sm.Stats.CTALaunches <= int64(sm.maxResidentCTAs) {
+			t.Fatalf("SM%d launched %d CTAs into %d slots; no slot was reused", sm.id, sm.Stats.CTALaunches, sm.maxResidentCTAs)
+		}
+	}
+	if launches != 64 || done != 64 {
+		t.Fatalf("%d launches, %d completions; want 64 of each", launches, done)
+	}
+}
